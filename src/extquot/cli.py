@@ -2,15 +2,13 @@
 
 Commands: decompose, betti, ktheory, euler, table, duality, verify,
 component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-domain error.  Output in json/csv mode is deterministic across runs and
-across worker counts; the EXTQUOT_JOBS environment variable overrides the
---jobs flag (default: all cores).
+domain error, or a reference fixture that is missing, empty or lacks a
+required column.  Output is deterministic across runs.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import click
@@ -30,9 +28,6 @@ from .topology import (
     render_ktheory_markdown,
 )
 
-JOBS_ENV_VAR = "EXTQUOT_JOBS"
-
-
 @dataclass(frozen=True)
 class CliConfig:
     """Validated per-invocation options shared by the subcommands."""
@@ -43,8 +38,6 @@ class CliConfig:
     partition: Partition | None = None
     form: str = "complex"
     format: str = "markdown"
-    max_n: int = 0
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.n < 1 or self.k < 1 or self.n % self.k != 0:
@@ -72,18 +65,6 @@ def parse_partition(text: str) -> Partition:
     if not parts:
         raise click.UsageError(f"malformed partition {text!r}")
     return Partition.from_parts(parts)
-
-
-def resolve_jobs(flag: int | None) -> int:
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise click.UsageError(f"{JOBS_ENV_VAR}={env!r} is not an integer") from None
-    if flag is not None:
-        return max(1, flag)
-    return os.cpu_count() or 1
 
 
 def _omega_str(entry, k: int) -> str:
@@ -262,17 +243,15 @@ def euler_cmd(n: int, k: int, fmt: str) -> None:
 @click.option("--k", type=int, default=1, show_default=True, help="row filter for betti tables")
 @click.option("--even-only", is_flag=True, default=False, help="restrict rows to even n")
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv", show_default=True)
-@click.option("--jobs", type=int, default=None, help=f"worker count (default: all cores; {JOBS_ENV_VAR} overrides)")
-def table_cmd(kind: str, max_n: int, k: int, even_only: bool, fmt: str, jobs: int | None) -> None:
+def table_cmd(kind: str, max_n: int, k: int, even_only: bool, fmt: str) -> None:
     """Emit a full table in the reference layout."""
     if max_n < 0 or k < 1:
         raise click.UsageError("max-n must be nonnegative and k positive")
-    workers = resolve_jobs(jobs)
     if kind == "betti":
-        vectors = topology.betti_table(max_n, k, even_only=even_only, jobs=workers)
+        vectors = topology.betti_table(max_n, k, even_only=even_only)
         text = render_betti_csv(vectors) if fmt == "csv" else render_betti_markdown(vectors)
     else:
-        rows = topology.ktheory_table(max_n, jobs=workers)
+        rows = topology.ktheory_table(max_n)
         text = render_ktheory_csv(rows) if fmt == "csv" else render_ktheory_markdown(rows)
     click.echo(text, nl=False)
 
@@ -326,17 +305,16 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
 @click.option("--fixture-dir", type=click.Path(exists=True, file_okay=False), default=None,
               help="read fixtures from an alternate directory")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-@click.option("--jobs", type=int, default=None, help=f"worker count (default: all cores; {JOBS_ENV_VAR} overrides)")
 @click.pass_context
 def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_dir: str | None,
-               fmt: str, jobs: int | None) -> None:
+               fmt: str) -> None:
     """Recompute reference tables (and, for suite=all, the property suites)."""
-    workers = resolve_jobs(jobs)
     selected = tables or reference.TABLE_IDS
-    reports = [
-        reference.verify(table_id, jobs=workers, fixture_dir=fixture_dir)
-        for table_id in selected
-    ]
+    try:
+        reports = [reference.verify(table_id, fixture_dir=fixture_dir) for table_id in selected]
+    except reference.FixtureError as exc:
+        click.echo(f"Error: {exc}", err=True)
+        ctx.exit(2)
     if suite == "all":
         reports.extend(fn() for fn in reference.PROPERTY_SUITES.values())
     clean = all(report.ok for report in reports)

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import repeat
+from functools import reduce
 from typing import Iterable, Sequence
 
 
@@ -31,15 +30,27 @@ def gcd_many(values: Iterable[int]) -> int:
     return g
 
 
-@lru_cache(maxsize=None)
 def pillai(a: int) -> int:
     """Pillai's arithmetical function: sum of gcd(a, s) for s = 0, ..., a-1.
 
-    The s = 0 term contributes gcd(a, 0) = a.
+    The s = 0 term contributes gcd(a, 0) = a.  The function is multiplicative
+    with pillai(p^e) = p^(e-1) ((e+1) p - e), which is how it is evaluated.
     """
     if a < 1:
         raise ValueError("pillai is defined for positive integers")
-    return sum(map(math.gcd, repeat(a), range(a)))
+    result = 1
+    p = 2
+    while p * p <= a:
+        if a % p == 0:
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            result *= p ** (e - 1) * ((e + 1) * p - e)
+        p += 1 if p == 2 else 2
+    if a > 1:  # a leftover prime p, with pillai(p) = 2p - 1
+        result *= 2 * a - 1
+    return result
 
 
 def pillai_via_totient(a: int) -> int:

@@ -11,15 +11,19 @@ parts.  The invariants of interest are
     p  the vector whose i-th entry counts distinct parts of multiplicity > i.
 
 Every downstream formula depends on the partition only through these numbers,
-so representative permutations are never materialized.
+so representative permutations are never materialized, and sums that need
+only (g, b) count the partitions per class without walking them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from operator import add
 from typing import Iterable, Iterator
+
+from .numtheory import divisors
 
 
 @dataclass(frozen=True)
@@ -151,29 +155,6 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield Partition(n, tuple(runs))
 
 
-def iter_gcd_distinct(n: int) -> Iterator[tuple[int, int]]:
-    """Yield (gcd of parts, number of distinct parts) for every partition of n.
-
-    This is the light-weight stream behind the Betti fold: it walks the same
-    enumeration as :func:`enumerate_partitions` without building Partition
-    objects, so n = 60 (about 10^6 partitions) stays cheap.
-    """
-    if n < 1:
-        raise ValueError("iter_gcd_distinct needs a positive integer")
-    gcd = math.gcd
-    for a in _descending_partitions(n):
-        g = 0
-        b = 0
-        prev = 0
-        for x in a:
-            if x != prev:
-                b += 1
-                prev = x
-                if g != 1:
-                    g = gcd(g, x)
-        yield g, b
-
-
 _PCOUNT = [1]  # P(0)
 
 
@@ -208,3 +189,48 @@ def partitions_pairs(r: int) -> int:
     if r < 0:
         raise ValueError("partitions_pairs needs a nonnegative integer")
     return sum(partition_count(s) * partition_count(r - s) for s in range(r + 1))
+
+
+def distinct_part_counts(n: int) -> list[list[int]]:
+    """Rows ``c[s][b]``, s = 0..n: the number of partitions of s with exactly
+    b distinct parts, for b up to the most distinct parts a partition of n has.
+
+    Dynamic programming over the generating function
+    prod over j of (1 + y x^j / (1 - x^j)): part size j either does not occur,
+    or occurs with some multiplicity m >= 1 and adds one distinct part.
+    """
+    width = (math.isqrt(8 * n + 1) - 1) // 2 + 1  # 1 + 2 + ... + b <= n
+    rows = [[1] + [0] * (width - 1)] + [[0] * width for _ in range(n)]
+    for j in range(1, n + 1):
+        # used[s]: partitions of s with largest part j, from the rows over
+        # parts < j; used[s] = rows[s - j] shifted one part up + used[s - j].
+        used = [[0] * width] * j
+        for s in range(j, n + 1):
+            used.append([0, *map(add, rows[s - j], used[s - j][1:])])
+        for s in range(j, n + 1):
+            rows[s] = list(map(add, rows[s], used[s]))
+    return rows
+
+
+@lru_cache(maxsize=128)
+def gcd_distinct_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """How many partitions of n fall in each (gcd of parts, distinct parts)
+    class, as sorted ((g, b), count) pairs with count > 0.
+
+    The partitions of n with every part divisible by d are d times those of
+    n/d, so they number c(n/d, b).  Those with part-gcd exactly g are left
+    after subtracting the exact counts of every divisor d > g of n with g | d.
+    """
+    if n < 1:
+        raise ValueError("gcd_distinct_counts needs a positive integer")
+    rows = distinct_part_counts(n)
+    exact: dict[int, list[int]] = {}
+    for g in reversed(divisors(n)):
+        row = rows[n // g]
+        for d, finer in exact.items():
+            if d % g == 0:
+                row = list(map(int.__sub__, row, finer))
+        exact[g] = row
+    return tuple(sorted(
+        ((g, b), count) for g, row in exact.items() for b, count in enumerate(row) if count
+    ))

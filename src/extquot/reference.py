@@ -26,16 +26,9 @@ from .complex_quotient import (
     enumerate_omegas,
 )
 from .numtheory import divisor_sigma, divisors, pillai, pillai_via_totient
-from .partitions import Partition, iter_gcd_distinct
+from .partitions import Partition
 from .real_quotient import bundle_orientable_k1, decompose_real
-from .topology import (
-    _betti_task,
-    _parallel_map,
-    betti,
-    euler_characteristic,
-    ktheory_ranks,
-    top_betti,
-)
+from .topology import betti, euler_characteristic, ktheory_ranks, top_betti
 
 TABLE_IDS = (
     "betti_k1",
@@ -45,6 +38,23 @@ TABLE_IDS = (
     "sl16_examples",
     "su6_orientability",
 )
+
+CATALOG_COLUMNS = ("partition", "omega_exponent", "omega_order", "x_card",
+                   "torus_dim", "ambient_dim", "group_order", "weights")
+SU6_COLUMNS = ("partition", "jg_vector", "m_minus_one_vector", "x_card", "orientable")
+# Columns a fixture must have before any cell is compared.
+REQUIRED_COLUMNS = {
+    "betti_k1": ("n", "b_0"),
+    "betti_k2": ("n", "b_0"),
+    "ktheory": ("n", "1"),
+    "sl6_catalogs": ("n", "k", *CATALOG_COLUMNS),
+    "sl16_examples": ("n", "k", *CATALOG_COLUMNS),
+    "su6_orientability": SU6_COLUMNS,
+}
+
+
+class FixtureError(ValueError):
+    """A reference fixture is missing, empty or lacks a required column."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +72,14 @@ class DiffReport:
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        """No mismatches, and at least one cell was compared."""
+        return self.cells_checked > 0 and not self.mismatches
 
     def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.mismatches)} mismatch(es)"
+        if self.mismatches:
+            status = f"{len(self.mismatches)} mismatch(es)"
+        else:
+            status = "ok" if self.ok else "FAILED: nothing was compared"
         return f"{self.table_id}: {self.cells_checked} cells checked, {status}"
 
 
@@ -81,29 +95,38 @@ def fixture_text(table_id: str, fixture_dir: str | Path | None = None) -> str:
 
 
 def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict[str, str]]:
-    with open(fixture_path(table_id, fixture_dir), newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+    """The fixture's rows, after checking that its header has every required
+    column; raises :class:`FixtureError` naming the table and the file."""
+    path = fixture_path(table_id, fixture_dir)
+
+    def error(problem: str) -> FixtureError:
+        return FixtureError(f"reference table {table_id} ({path}): {problem}")
+
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames
+            rows = list(reader)
+    except FileNotFoundError:
+        raise error("no such file") from None
+    if not header:
+        raise error("the file is empty")
+    for column in REQUIRED_COLUMNS[table_id]:
+        if column not in header:
+            raise error(f"missing column {column!r}")
+    if table_id == "ktheory" and not all(c == "n" or c.isdigit() and int(c) > 0 for c in header):
+        raise error("every column but n must be a positive k")
+    return rows
 
 
-def verify(
-    table_id: str,
-    *,
-    jobs: int = 1,
-    fixture_dir: str | Path | None = None,
-    computed=None,
-) -> DiffReport:
-    """Recompute every cell of the table and diff it against the fixture.
-
-    ``computed`` lets callers hand in already-computed values (a list of
-    BettiVector for the Betti tables) so that expensive sweeps are not run
-    twice; by default everything is recomputed here.
-    """
+def verify(table_id: str, *, fixture_dir: str | Path | None = None) -> DiffReport:
+    """Recompute every cell of the table and diff it against the fixture."""
     rows = load_rows(table_id, fixture_dir)
     if table_id in ("betti_k1", "betti_k2"):
         k = 1 if table_id == "betti_k1" else 2
-        return _verify_betti(table_id, rows, k, jobs, computed)
+        return _verify_betti(table_id, rows, k)
     if table_id == "ktheory":
-        return _verify_ktheory(table_id, rows, jobs)
+        return _verify_ktheory(table_id, rows)
     if table_id in ("sl6_catalogs", "sl16_examples"):
         return _verify_catalog(table_id, rows)
     if table_id == "su6_orientability":
@@ -111,22 +134,15 @@ def verify(
     raise ValueError(f"unknown reference table {table_id!r}")
 
 
-def _verify_betti(table_id, rows, k, jobs, computed) -> DiffReport:
+def _verify_betti(table_id, rows, k) -> DiffReport:
     report = DiffReport(table_id)
-    ns = [int(row["n"]) for row in rows]
-    if computed is None:
-        computed = _parallel_map(_betti_task, [(n, k) for n in ns], jobs)
-    by_n = {vector.n: vector for vector in computed}
     for row in rows:
         n = int(row["n"])
-        vector = by_n.get(n)
+        ranks = betti(n, k).ranks if n >= 1 and n % k == 0 else ()
         degree = 0
         while f"b_{degree}" in row:
             expected = row[f"b_{degree}"]
-            if vector is None or degree >= len(vector.ranks):
-                actual = ""
-            else:
-                actual = str(vector.ranks[degree])
+            actual = str(ranks[degree]) if degree < len(ranks) else ""
             report.cells_checked += 1
             if expected != actual:
                 report.mismatches.append(Mismatch(f"n={n} b_{degree}", expected, actual))
@@ -134,9 +150,9 @@ def _verify_betti(table_id, rows, k, jobs, computed) -> DiffReport:
     return report
 
 
-def _verify_ktheory(table_id, rows, jobs) -> DiffReport:
+def _verify_ktheory(table_id, rows) -> DiffReport:
     report = DiffReport(table_id)
-    columns = [int(c) for c in rows[0] if c != "n"]
+    columns = [int(c) for c in rows[0] if c != "n"] if rows else []
     for row in rows:
         n = int(row["n"])
         for k in columns:
@@ -190,8 +206,7 @@ def _verify_catalog(table_id, rows) -> DiffReport:
             continue
         for idx, (row, entry) in enumerate(zip(expected_rows, entries)):
             actual = _catalog_fields(entry)
-            for name in ("partition", "omega_exponent", "omega_order", "x_card",
-                         "torus_dim", "ambient_dim", "group_order", "weights"):
+            for name in CATALOG_COLUMNS:
                 report.cells_checked += 1
                 if row[name] != actual[name]:
                     report.mismatches.append(
@@ -218,7 +233,7 @@ def _verify_su6(table_id, rows) -> DiffReport:
             "x_card": str(entry.multiplicity),
             "orientable": "Yes" if bundle_orientable_k1(mu) else "No",
         }
-        for name in ("partition", "jg_vector", "m_minus_one_vector", "x_card", "orientable"):
+        for name in SU6_COLUMNS:
             report.cells_checked += 1
             if row[name] != actual[name]:
                 report.mismatches.append(Mismatch(f"row {idx} {name}", row[name], actual[name]))
@@ -233,13 +248,14 @@ def property_oracle_equivalence(max_n: int = 40) -> DiffReport:
     """Closed-form component counts vs. the brute-force sum over omega.
 
     Both sides depend on a partition only through the gcd of its parts, so
-    each partition of each n is covered by checking its gcd class.
+    each partition of each n is covered by checking its gcd class.  The part
+    gcds of the partitions of n are exactly the divisors of n: n/g copies of
+    g have gcd g.
     """
     report = DiffReport("oracle_equivalence")
     for n in range(1, max_n + 1):
-        gcds = {g for g, _ in iter_gcd_distinct(n)}
         for k in divisors(n):
-            for g in sorted(gcds):
+            for g in divisors(n):
                 h = math.gcd(g, k)
                 brute = sum(
                     math.gcd(g // (h // math.gcd(h, e)), n // k) for e in range(h)
@@ -268,14 +284,13 @@ def property_duality(max_n: int = 30) -> DiffReport:
     """Betti vectors and per-gcd component counts invariant under k <-> n/k."""
     report = DiffReport("duality")
     for n in range(1, max_n + 1):
-        gcds = {g for g, _ in iter_gcd_distinct(n)}
         for k in divisors(n):
             report.cells_checked += 1
             lhs = betti(n, k).ranks
             rhs = betti(n, n // k).ranks
             if lhs != rhs:
                 report.mismatches.append(Mismatch(f"betti n={n} k={k}", str(rhs), str(lhs)))
-            for g in sorted(gcds):
+            for g in divisors(n):
                 report.cells_checked += 1
                 count = component_count_from_gcd(g, n, k)
                 count_dual = component_count_from_gcd(g, n, n // k)

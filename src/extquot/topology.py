@@ -3,9 +3,10 @@
 Every component of the quotient deformation-retracts onto its base torus, so
 the Betti vector for (n, k) is a binomial fold: degree j picks up
 C(b(mu) - 1, j) from each component of a partition with b distinct parts.
-The fold streams over partitions and needs only (gcd of parts, distinct-part
-count) per partition; the catalog-based computation exists as a cross-check
-and gives identical answers for the real and complex catalogs.
+The fold needs only how many partitions share each (gcd of parts,
+distinct-part count) class, which is counted without enumerating partitions;
+the catalog-based computation exists as a cross-check and gives identical
+answers for the real and complex catalogs.
 
 K-theory ranks are the even/odd Betti sums (Chern character over C), and the
 Euler characteristic for k = 1 equals the divisor sum of n.
@@ -17,9 +18,7 @@ import csv
 import io
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .complex_quotient import (
@@ -31,7 +30,7 @@ from .complex_quotient import (
     _require_divides,
 )
 from .numtheory import divisors
-from .partitions import Partition, iter_gcd_distinct, partitions_pairs
+from .partitions import Partition, gcd_distinct_counts, partitions_pairs
 
 
 @dataclass(frozen=True)
@@ -53,20 +52,11 @@ class KTheoryRanks:
     k1: int
 
 
-@lru_cache(maxsize=128)
-def _class_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """How many partitions of n fall in each (gcd of parts, distinct parts) class."""
-    counts: Counter[tuple[int, int]] = Counter()
-    for key in iter_gcd_distinct(n):
-        counts[key] += 1
-    return tuple(sorted(counts.items()))
-
-
 def betti(n: int, k: int) -> BettiVector:
     """The Betti vector: b_j = sum over mu of |components(mu)| * C(b(mu)-1, j)."""
     _require_divides(k, n)
     by_distinct: Counter[int] = Counter()
-    for (g, b), count in _class_counts(n):
+    for (g, b), count in gcd_distinct_counts(n):
         by_distinct[b] += count * component_count_from_gcd(g, n, k)
     top = max(by_distinct)
     ranks = tuple(
@@ -224,39 +214,18 @@ def duality_report(n: int, k: int) -> DualityReport:
 
 
 # ---------------------------------------------------------------------------
-# Table construction (parallelizable) and rendering.
+# Table construction and rendering.
 
 
-def _betti_task(args: tuple[int, int]) -> BettiVector:
-    n, k = args
-    return betti(n, k)
+def betti_table(max_n: int, k: int, even_only: bool = False) -> list[BettiVector]:
+    """Betti vectors for every n <= max_n with k | n (optionally even n only),
+    ascending in n."""
+    return [betti(n, k) for n in range(k, max_n + 1, k) if not even_only or n % 2 == 0]
 
 
-def _ktheory_row_task(n: int) -> tuple[int, tuple[tuple[int, KTheoryRanks], ...]]:
-    return n, tuple((k, ktheory_ranks(n, k)) for k in divisors(n))
-
-
-def _parallel_map(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def betti_table(max_n: int, k: int, even_only: bool = False, jobs: int = 1) -> list[BettiVector]:
-    """Betti vectors for every n <= max_n with k | n (optionally even n only).
-
-    Rows may be computed by a worker pool; the returned order is always
-    ascending in n regardless of the worker count.
-    """
-    ns = [n for n in range(1, max_n + 1) if n % k == 0 and (not even_only or n % 2 == 0)]
-    return _parallel_map(_betti_task, [(n, k) for n in ns], jobs)
-
-
-def ktheory_table(max_n: int, jobs: int = 1) -> list[tuple[int, dict[int, KTheoryRanks]]]:
+def ktheory_table(max_n: int) -> list[tuple[int, dict[int, KTheoryRanks]]]:
     """K-theory ranks for n = 2..max_n and every k | n, ascending in n."""
-    rows = _parallel_map(_ktheory_row_task, list(range(2, max_n + 1)), jobs)
-    return [(n, dict(cells)) for n, cells in rows]
+    return [(n, {k: ktheory_ranks(n, k) for k in divisors(n)}) for n in range(2, max_n + 1)]
 
 
 def _csv_text(rows: Iterable[Sequence[str]]) -> str:

@@ -2,11 +2,19 @@
 
 These are deliberately written independently of the library code they check:
 cofactor expansion instead of Bareiss elimination, a sieve instead of trial
-division, and direct power-series multiplication instead of the convolution
-formula.
+division, direct power-series multiplication instead of the convolution
+formula, the defining gcd sum instead of Pillai's multiplicative formula, and
+a walk over every partition instead of the generating-function class counts.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
+from functools import lru_cache
+from itertools import repeat
+
+from extquot.partitions import _descending_partitions
 
 
 def cofactor_det(rows) -> int:
@@ -39,3 +47,31 @@ def two_kind_series_coefficients(max_degree: int) -> list[int]:
             for i in range(s, max_degree + 1):
                 coeffs[i] += coeffs[i - s]
     return coeffs
+
+
+def pillai_gcd_sum(a: int) -> int:
+    """Pillai's function by its definition: sum of gcd(a, s) for s = 0..a-1."""
+    return sum(map(math.gcd, repeat(a), range(a)))
+
+
+def iter_gcd_distinct(n: int):
+    """Yield (gcd of parts, number of distinct parts) for every partition of
+    n >= 1, walking every partition in enumeration order."""
+    gcd = math.gcd
+    for a in _descending_partitions(n):
+        g = 0
+        b = 0
+        prev = 0
+        for x in a:
+            if x != prev:
+                b += 1
+                prev = x
+                if g != 1:
+                    g = gcd(g, x)
+        yield g, b
+
+
+@lru_cache(maxsize=None)
+def enumerated_class_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The (gcd, distinct parts) class counts of n, by walking every partition."""
+    return tuple(sorted(Counter(iter_gcd_distinct(n)).items()))

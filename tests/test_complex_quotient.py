@@ -17,8 +17,9 @@ from extquot.complex_quotient import (
     singularity_weights,
     variety_normal_form,
 )
+from conftest import iter_gcd_distinct
 from extquot.numtheory import divisors
-from extquot.partitions import Partition, enumerate_partitions, invariants, iter_gcd_distinct
+from extquot.partitions import Partition, enumerate_partitions, invariants
 
 MU_2444 = Partition.from_parts([2, 2, 2, 2, 4, 4])
 MU_4444 = Partition.from_parts([4, 4, 4, 4])

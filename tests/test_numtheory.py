@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, primes_up_to
+from conftest import cofactor_det, pillai_gcd_sum, primes_up_to
 from extquot.numtheory import (
     UnimodularMatrix,
     det_exact,
@@ -41,6 +41,11 @@ def test_pillai_small_values():
     assert pillai(6) == 15
     with pytest.raises(ValueError):
         pillai(0)
+
+
+def test_pillai_closed_form_matches_gcd_sum():
+    for a in range(1, 2001):
+        assert pillai(a) == pillai_gcd_sum(a), a
 
 
 def test_pillai_via_totient_values():

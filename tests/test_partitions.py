@@ -1,13 +1,16 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import two_kind_series_coefficients
+from conftest import enumerated_class_counts, iter_gcd_distinct, two_kind_series_coefficients
 from extquot.partitions import (
     Partition,
+    distinct_part_counts,
     enumerate_partitions,
+    gcd_distinct_counts,
     invariants,
-    iter_gcd_distinct,
     partition_count,
     partitions_pairs,
 )
@@ -116,6 +119,22 @@ def test_iter_gcd_distinct_agrees_with_invariants():
         light = list(iter_gcd_distinct(n))
         full = [(invariants(mu).g, invariants(mu).b) for mu in enumerate_partitions(n)]
         assert light == full
+
+
+def test_distinct_part_counts_match_enumeration():
+    rows = distinct_part_counts(20)
+    assert rows[0] == [1, 0, 0, 0, 0, 0]
+    for s in range(1, 21):
+        counts = Counter(invariants(mu).b for mu in enumerate_partitions(s))
+        assert rows[s] == [counts[b] for b in range(len(rows[s]))]
+        assert sum(rows[s]) == partition_count(s)
+
+
+def test_gcd_distinct_counts_match_enumeration():
+    for n in range(1, 41):
+        assert gcd_distinct_counts(n) == enumerated_class_counts(n), n
+    with pytest.raises(ValueError):
+        gcd_distinct_counts(0)
 
 
 def test_partition_count_values():

@@ -80,3 +80,21 @@ def test_diff_report_summary_text():
     assert "ok" in report.summary()
     report.mismatches.append(reference.Mismatch("here", "1", "2"))
     assert "1 mismatch" in report.summary()
+
+
+def test_report_that_checks_no_cells_is_not_ok():
+    report = reference.DiffReport("demo")
+    assert not report.ok
+    assert report.summary() == "demo: 0 cells checked, FAILED: nothing was compared"
+
+
+@pytest.mark.parametrize("table_id", reference.TABLE_IDS)
+def test_missing_required_column_is_a_fixture_error(tmp_path, table_id):
+    column = reference.REQUIRED_COLUMNS[table_id][-1]
+
+    def rename(rows):
+        rows[0][rows[0].index(column)] = column + "_renamed"
+
+    fixture_dir = _perturbed_fixture_dir(tmp_path, table_id, rename)
+    with pytest.raises(reference.FixtureError, match=f"{table_id}.*missing column '{column}'"):
+        reference.verify(table_id, fixture_dir=fixture_dir)
