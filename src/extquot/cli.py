@@ -9,43 +9,25 @@ required column.  Output is deterministic across runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import Iterator
 
 import click
 
 from . import reference, topology
-from .complex_quotient import QuotientCatalog, decompose_complex
+from .complex_quotient import ComplexComponent, QuotientCatalog, decompose_complex, partition_components
 from .partitions import Partition
-from .real_quotient import decompose_real
-from .topology import (
-    betti,
-    duality_report,
-    euler_characteristic,
-    ktheory_ranks,
-    render_betti_csv,
-    render_betti_markdown,
-    render_ktheory_csv,
-    render_ktheory_markdown,
-)
+from .real_quotient import RealComponent, decompose_real
+from .topology import betti, duality_report, euler_characteristic, ktheory_ranks, render_grid
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated per-invocation options shared by the subcommands."""
+FORMS = {"complex": ComplexComponent, "real": RealComponent}
 
-    command: str
-    n: int
-    k: int = 1
-    partition: Partition | None = None
-    form: str = "complex"
-    format: str = "markdown"
 
-    def validate(self) -> None:
-        if self.n < 1 or self.k < 1 or self.n % self.k != 0:
-            raise click.UsageError(f"k={self.k} must divide n={self.n}")
-        if self.partition is not None and self.partition.n != self.n:
-            raise click.UsageError(
-                f"partition {self.partition} sums to {self.partition.n}, not n={self.n}"
-            )
+def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None:
+    """Reject a k that does not divide n, or a partition that does not sum to n."""
+    if n < 1 or k < 1 or n % k != 0:
+        raise click.UsageError(f"k={k} must divide n={n}")
+    if partition is not None and partition.n != n:
+        raise click.UsageError(f"partition {partition} sums to {partition.n}, not n={n}")
 
 
 def parse_partition(text: str) -> Partition:
@@ -89,86 +71,47 @@ def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _render_catalog_markdown(catalog: QuotientCatalog) -> str:
-    lines = []
+def _catalog_grid(catalog: QuotientCatalog) -> list[list[str]]:
     if catalog.form == "complex":
-        lines.append("| mu | omega | X | variety |")
-        lines.append("|---|---|---|---|")
+        rows = [["mu", "omega", "X", "variety"]]
         for entry in catalog.entries:
-            lines.append(
-                f"| {entry.partition} | {_omega_str(entry, catalog.k)} "
-                f"| {entry.multiplicity} | {_variety_str(entry)} |"
-            )
-    else:
-        header = ["mu", "omega", "X", "base", "fiber dims", "C_d", "joins", "fiber action preserves orientation"]
-        if catalog.k == 1:
-            header.append("bundle orientable")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for entry in catalog.entries:
-            cells = [
-                str(entry.partition),
-                _omega_str(entry, catalog.k),
-                str(entry.multiplicity),
-                f"T^{entry.base_torus_dim}",
-                ",".join(str(d) for d in entry.fiber_simplex_dims),
-                str(entry.cyclic_order),
-                ",".join(str(c) for c in entry.join_counts),
-                _flag(entry.action_orientation_preserving),
-            ]
-            if catalog.k == 1:
-                cells.append(_flag(entry.bundle_orientable))
-            lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _render_catalog_csv(catalog: QuotientCatalog) -> str:
-    import csv
-    import io
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    header = [
-        "partition", "omega_exponent", "omega_order", "torus_dim", "multiplicity",
-        "ambient_dim", "group_order", "weights",
-    ]
-    if catalog.form == "real":
-        header += ["fiber_simplex_dims", "join_counts", "action_orientation_preserving"]
-        if catalog.k == 1:
-            header.append("bundle_orientable")
-    writer.writerow(header)
+            rows.append([str(entry.partition), _omega_str(entry, catalog.k), str(entry.multiplicity),
+                         _variety_str(entry)])
+        return rows
+    rows = [["mu", "omega", "X", "base", "fiber dims", "C_d", "joins", "fiber action preserves orientation"]]
+    if catalog.k == 1:
+        rows[0].append("bundle orientable")
     for entry in catalog.entries:
-        data = entry.to_dict()
-        sing = data["singularity"]
-        row = [
+        cells = [
             str(entry.partition),
-            data["omega_exponent"],
-            data["omega_order"],
-            data["torus_dim"],
-            data["multiplicity"],
-            sing["ambient_dim"],
-            sing["group_order"],
-            " ".join(str(w) for w in sing["weights"]),
+            _omega_str(entry, catalog.k),
+            str(entry.multiplicity),
+            f"T^{entry.torus_dim}",
+            ",".join(str(d) for d in entry.fiber_simplex_dims),
+            str(entry.cyclic_order),
+            ",".join(str(c) for c in entry.join_counts),
+            _flag(entry.action_orientation_preserving),
         ]
-        if catalog.form == "real":
-            row += [
-                " ".join(str(d) for d in data["fiber_simplex_dims"]),
-                " ".join(str(c) for c in data["join_counts"]),
-                _flag(data["action_orientation_preserving"]),
-            ]
-            if catalog.k == 1:
-                row.append(_flag(data["bundle_orientable"]))
-        writer.writerow(row)
-    return out.getvalue()
+        if catalog.k == 1:
+            cells.append(_flag(entry.bundle_orientable))
+        rows.append(cells)
+    return rows
 
 
-def _emit_catalog(catalog: QuotientCatalog, fmt: str) -> None:
-    if fmt == "json":
-        click.echo(json.dumps(catalog.to_json_dict(), indent=2))
-    elif fmt == "csv":
-        click.echo(_render_catalog_csv(catalog), nl=False)
-    else:
-        click.echo(_render_catalog_markdown(catalog), nl=False)
+def _catalog_csv_rows(catalog: QuotientCatalog) -> Iterator[list]:
+    """A header, then each entry's ``to_dict`` as CSV cells with the
+    singularity's fields in its place."""
+    for i, entry in enumerate(catalog.entries):
+        fields = {}
+        for key, value in entry.to_dict().items():
+            for name, v in value.items() if key == "singularity" else [(key, value)]:
+                if isinstance(v, list):
+                    v = " ".join(map(str, v))
+                fields[name] = _flag(v) if isinstance(v, bool) else v
+        fields["partition"] = str(entry.partition)
+        if i == 0:
+            yield list(fields)
+        yield list(fields.values())
 
 
 @click.group()
@@ -186,13 +129,17 @@ def main() -> None:
 def decompose(n: int, k: int, form: str, partition_text: str | None, fmt: str) -> None:
     """Print the component catalog of the (n, k) extended quotient."""
     partition = parse_partition(partition_text) if partition_text else None
-    config = CliConfig(command="decompose", n=n, k=k, partition=partition, form=form, format=fmt)
-    config.validate()
-    catalog = decompose_complex(n, k) if form == "complex" else decompose_real(n, k)
+    _check_arguments(n, k, partition)
     if partition is not None:
-        entries = tuple(e for e in catalog.entries if e.partition == partition)
+        entries = tuple(partition_components(FORMS[form], partition, n, k))
         catalog = QuotientCatalog(n=n, k=k, form=form, entries=entries)
-    _emit_catalog(catalog, fmt)
+    else:  # by name: perfbench counts the rows these two build
+        catalog = decompose_complex(n, k) if form == "complex" else decompose_real(n, k)
+    if fmt == "json":
+        click.echo(json.dumps(catalog.to_json_dict(), indent=2))
+    else:
+        grid = _catalog_csv_rows(catalog) if fmt == "csv" else _catalog_grid(catalog)
+        click.echo(render_grid(grid, fmt), nl=False)
 
 
 @main.command(name="betti")
@@ -201,7 +148,7 @@ def decompose(n: int, k: int, form: str, partition_text: str | None, fmt: str) -
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def betti_cmd(n: int, k: int, fmt: str) -> None:
     """Print the Betti vector b_0 .. b_D for (n, k)."""
-    CliConfig(command="betti", n=n, k=k).validate()
+    _check_arguments(n, k)
     vector = betti(n, k)
     if fmt == "json":
         click.echo(json.dumps({"n": n, "k": k, "betti": list(vector.ranks)}))
@@ -215,7 +162,7 @@ def betti_cmd(n: int, k: int, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def ktheory_cmd(n: int, k: int, fmt: str) -> None:
     """Print the K0 and K1 ranks for (n, k)."""
-    CliConfig(command="ktheory", n=n, k=k).validate()
+    _check_arguments(n, k)
     ranks = ktheory_ranks(n, k)
     if fmt == "json":
         click.echo(json.dumps({"n": n, "k": k, "k0": ranks.k0, "k1": ranks.k1}))
@@ -229,7 +176,7 @@ def ktheory_cmd(n: int, k: int, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
 def euler_cmd(n: int, k: int, fmt: str) -> None:
     """Print the Euler characteristic for (n, k)."""
-    CliConfig(command="euler", n=n, k=k).validate()
+    _check_arguments(n, k)
     chi = euler_characteristic(n, k)
     if fmt == "json":
         click.echo(json.dumps({"n": n, "k": k, "euler": chi}))
@@ -248,12 +195,10 @@ def table_cmd(kind: str, max_n: int, k: int, even_only: bool, fmt: str) -> None:
     if max_n < 0 or k < 1:
         raise click.UsageError("max-n must be nonnegative and k positive")
     if kind == "betti":
-        vectors = topology.betti_table(max_n, k, even_only=even_only)
-        text = render_betti_csv(vectors) if fmt == "csv" else render_betti_markdown(vectors)
+        grid = topology.betti_grid(topology.betti_table(max_n, k, even_only=even_only))
     else:
-        rows = topology.ktheory_table(max_n)
-        text = render_ktheory_csv(rows) if fmt == "csv" else render_ktheory_markdown(rows)
-    click.echo(text, nl=False)
+        grid = topology.ktheory_grid(topology.ktheory_table(max_n))
+    click.echo(render_grid(grid, fmt), nl=False)
 
 
 @main.command(name="duality")
@@ -354,23 +299,12 @@ def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text", show_default=True)
 def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form: str, fmt: str) -> None:
     """Print a single component, selected by partition and omega exponent."""
-    from .complex_quotient import OmegaLabel, complex_component
-    from .partitions import invariants
-    from .real_quotient import real_component
-
     partition = parse_partition(partition_text)
-    config = CliConfig(command="component", n=n, k=k, partition=partition, form=form)
-    config.validate()
-    import math
-
-    h = math.gcd(invariants(partition).g, k)
-    if not 0 <= omega_exponent < h:
-        raise click.UsageError(f"omega exponent must lie in 0..{h - 1} for this partition")
-    omega = OmegaLabel(h, omega_exponent)
-    if form == "complex":
-        entry = complex_component(partition, omega, n, k)
-    else:
-        entry = real_component(partition, omega, n, k)
+    _check_arguments(n, k, partition)
+    entries = partition_components(FORMS[form], partition, n, k)
+    if not 0 <= omega_exponent < len(entries):
+        raise click.UsageError(f"omega exponent must lie in 0..{len(entries) - 1} for this partition")
+    entry = entries[omega_exponent]
     if fmt == "json":
         click.echo(json.dumps(entry.to_dict(), indent=2))
     elif form == "complex":
@@ -381,7 +315,7 @@ def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form
     else:
         click.echo(
             f"mu={entry.partition} omega={_omega_str(entry, k)} |X|={entry.multiplicity} "
-            f"base=T^{entry.base_torus_dim} fiber={','.join(str(d) for d in entry.fiber_simplex_dims)} "
+            f"base=T^{entry.torus_dim} fiber={','.join(str(d) for d in entry.fiber_simplex_dims)} "
             f"C_d={entry.cyclic_order} orientation_preserving={_flag(entry.action_orientation_preserving)}"
         )
 

@@ -1,26 +1,30 @@
-"""Component catalog of the extended quotient of a maximal torus of
-SL_n(C)/C_k by the Weyl group S_n.
+"""Component catalogs of the extended quotients of a maximal torus of
+SL_n(C)/C_k (complex form) and SU_n(C)/C_k (real form) by the Weyl group S_n.
 
-The quotient splits into irreducible components indexed by a partition mu of
-n (the conjugacy class) together with a root of unity omega drawn from the
-cyclic group of order gcd(g(mu), k).  Each component is
+Both quotients split into strata indexed by a partition mu of n (the
+conjugacy class) together with a root of unity omega drawn from the cyclic
+group of order gcd(g(mu), k).  Every stratum has a base torus of dimension
+b-1, a cyclic group of order d = gcd(m, k/|omega|) acting on its fibre, and
+gcd(g/|omega|, n/k) discrete points, where b, c are the distinct/total part
+counts of mu and m is the gcd of its multiplicities.  This module computes
+that shared data once per (mu, omega) and builds the catalogs of either form
+from it; only the fibre differs.  In the complex form it is
 
-    (C*)^(b-1)  x  A^(c-b) / C_d  x  (discrete set),
+    A^(c-b) / C_d,
 
-where b, c are the distinct/total part counts of mu, d = gcd(m, k/|omega|)
-with m the gcd of the multiplicities, the cyclic group acts diagonally with
-weight l on p_l coordinates, and the discrete factor has gcd(g/|omega|, n/k)
-points.  Only this descriptor data is materialized.
+where the cyclic group acts diagonally with weight l on p_l coordinates; the
+real form's polysimplex fibre lives in :mod:`extquot.real_quotient`.  Only
+this descriptor data is materialized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, NamedTuple
 
 from .numtheory import pillai
-from .partitions import Partition, enumerate_partitions, invariants
+from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants
 
 
 @dataclass(frozen=True)
@@ -82,27 +86,6 @@ class CyclicSingularity:
 
 
 @dataclass(frozen=True)
-class ComplexComponent:
-    """One stratum of the complex extended quotient."""
-
-    partition: Partition
-    omega: OmegaLabel
-    torus_dim: int
-    singularity: CyclicSingularity
-    multiplicity: int
-
-    def to_dict(self) -> dict:
-        return {
-            "partition": list(self.partition.parts),
-            "omega_exponent": self.omega.exponent,
-            "omega_order": self.omega.order,
-            "torus_dim": self.torus_dim,
-            "multiplicity": self.multiplicity,
-            "singularity": self.singularity.to_dict(),
-        }
-
-
-@dataclass(frozen=True)
 class QuotientCatalog:
     """The full decomposition for (n, k), complex or real form.
 
@@ -119,18 +102,6 @@ class QuotientCatalog:
     def total_components(self) -> int:
         return sum(entry.multiplicity for entry in self.entries)
 
-    def by_partition(self) -> Iterator[tuple[Partition, list]]:
-        group: list = []
-        current: Partition | None = None
-        for entry in self.entries:
-            if current is not None and entry.partition != current:
-                yield current, group
-                group = []
-            current = entry.partition
-            group.append(entry)
-        if current is not None:
-            yield current, group
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -140,16 +111,73 @@ class QuotientCatalog:
         }
 
 
+class Stratum(NamedTuple):
+    """What both forms share for the stratum (mu, omega) of the (n, k)
+    quotient: the torus dimension b - 1, the order d of the cyclic group on
+    the fibre and the number of discrete points."""
+
+    partition: Partition
+    invariants: PartitionInvariants
+    omega: OmegaLabel
+    k: int
+    torus_dim: int
+    d: int
+    multiplicity: int
+
+
 def _require_divides(k: int, n: int) -> None:
     if n < 1 or k < 1 or n % k != 0:
         raise ValueError(f"k={k} must divide n={n}")
 
 
+def _stratum(mu: Partition, inv: PartitionInvariants, omega: OmegaLabel, n: int, k: int) -> Stratum:
+    _require_divides(k, n)
+    order = omega.order
+    if k % order != 0:
+        raise ValueError(f"omega order {order} does not divide k={k}")
+    return Stratum(mu, inv, omega, k, torus_dim=inv.b - 1, d=math.gcd(inv.m, k // order),
+                   multiplicity=math.gcd(inv.g // order, n // k))
+
+
+def strata(mu: Partition, n: int, k: int) -> list[Stratum]:
+    """The strata labelled by mu, one per omega = zeta_h^e for e = 0..h-1
+    with h = gcd(g(mu), k); the invariants of mu are computed once."""
+    inv = invariants(mu)
+    h = math.gcd(inv.g, k)
+    return [_stratum(mu, inv, OmegaLabel(h, e), n, k) for e in range(h)]
+
+
+def partition_components(component_type: type, mu: Partition, n: int, k: int) -> list:
+    """The components of one partition in omega order, each built by
+    ``component_type.from_stratum``: :class:`ComplexComponent` or
+    :class:`~extquot.real_quotient.RealComponent`.
+
+    Every single-partition lookup goes through here, so none of them
+    enumerates the other partitions of n.
+    """
+    return [component_type.from_stratum(s) for s in strata(mu, n, k)]
+
+
+def decompose(component_type: type, n: int, k: int) -> QuotientCatalog:
+    """The full catalog for (n, k): partitions in enumeration order, then
+    omega exponents."""
+    _require_divides(k, n)
+    entries = []
+    for mu in enumerate_partitions(n):
+        entries.extend(partition_components(component_type, mu, n, k))
+    return QuotientCatalog(n=n, k=k, form=component_type.form, entries=tuple(entries))
+
+
 def enumerate_omegas(mu: Partition, n: int, k: int) -> list[OmegaLabel]:
     """All omega labels for the partition: h = gcd(g(mu), k) of them."""
-    _require_divides(k, n)
-    h = math.gcd(invariants(mu).g, k)
-    return [OmegaLabel(h, e) for e in range(h)]
+    return [s.omega for s in strata(mu, n, k)]
+
+
+def _singularity(inv: PartitionInvariants, d: int) -> CyclicSingularity:
+    if d < 1:
+        raise ValueError("group order must be positive")
+    weights = tuple(l % d for l, p_l in enumerate(inv.p, start=1) for _ in range(p_l))
+    return CyclicSingularity(inv.c - inv.b, d, weights)
 
 
 def singularity_weights(mu: Partition, d: int) -> CyclicSingularity:
@@ -158,29 +186,44 @@ def singularity_weights(mu: Partition, d: int) -> CyclicSingularity:
     The generator multiplies p_l(mu) coordinates by its l-th power; weights
     are listed by increasing l and reduced mod d at construction.
     """
-    if d < 1:
-        raise ValueError("group order must be positive")
-    inv = invariants(mu)
-    weights = tuple(l % d for l, p_l in enumerate(inv.p, start=1) for _ in range(p_l))
-    return CyclicSingularity(inv.c - inv.b, d, weights)
+    return _singularity(invariants(mu), d)
+
+
+@dataclass(frozen=True)
+class ComplexComponent:
+    """One stratum of the complex extended quotient."""
+
+    form: ClassVar[str] = "complex"
+
+    partition: Partition
+    omega: OmegaLabel
+    torus_dim: int
+    singularity: CyclicSingularity
+    multiplicity: int
+
+    @classmethod
+    def from_stratum(cls, s: Stratum) -> ComplexComponent:
+        return cls(s.partition, s.omega, s.torus_dim, _singularity(s.invariants, s.d), s.multiplicity)
+
+    def to_dict(self) -> dict:
+        return {
+            "partition": list(self.partition.parts),
+            "omega_exponent": self.omega.exponent,
+            "omega_order": self.omega.order,
+            "torus_dim": self.torus_dim,
+            "multiplicity": self.multiplicity,
+            "singularity": self.singularity.to_dict(),
+        }
 
 
 def complex_component(mu: Partition, omega: OmegaLabel, n: int, k: int) -> ComplexComponent:
     """The stratum of the complex quotient labelled by (mu, omega)."""
-    _require_divides(k, n)
-    inv = invariants(mu)
-    order = omega.order
-    if k % order != 0:
-        raise ValueError(f"omega order {order} does not divide k={k}")
-    d = math.gcd(inv.m, k // order)
-    multiplicity = math.gcd(inv.g // order, n // k)
-    return ComplexComponent(
-        partition=mu,
-        omega=omega,
-        torus_dim=inv.b - 1,
-        singularity=singularity_weights(mu, d),
-        multiplicity=multiplicity,
-    )
+    return ComplexComponent.from_stratum(_stratum(mu, invariants(mu), omega, n, k))
+
+
+def decompose_complex(n: int, k: int) -> QuotientCatalog:
+    """The full complex catalog for (n, k), in deterministic order."""
+    return decompose(ComplexComponent, n, k)
 
 
 def component_count_from_gcd(g: int, n: int, k: int) -> int:
@@ -197,16 +240,6 @@ def component_count(mu: Partition, n: int, k: int) -> int:
     """Number of components the partition mu contributes to the (n, k) quotient."""
     _require_divides(k, n)
     return component_count_from_gcd(invariants(mu).g, n, k)
-
-
-def decompose_complex(n: int, k: int) -> QuotientCatalog:
-    """The full complex catalog for (n, k), in deterministic order."""
-    _require_divides(k, n)
-    entries = []
-    for mu in enumerate_partitions(n):
-        for omega in enumerate_omegas(mu, n, k):
-            entries.append(complex_component(mu, omega, n, k))
-    return QuotientCatalog(n=n, k=k, form="complex", entries=tuple(entries))
 
 
 def canonical_singularity(s: CyclicSingularity) -> CyclicSingularity:

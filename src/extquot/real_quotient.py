@@ -1,13 +1,14 @@
-"""Component catalog of the extended quotient of a maximal torus of
+"""The real form: components of the extended quotient of a maximal torus of
 SU_n(C)/C_k by the Weyl group S_n.
 
 Each component is a bundle of polysimplices over a compact torus of dimension
-b-1, quotiented by a cyclic group of order d = gcd(m, k/|omega|) acting on
-the fibres, times a discrete set.  The fibre over a base point is a product
-of simplices of dimensions m_j - 1, one per distinct part j; the cyclic
-action cuts each simplex into a join of m_j / d smaller simplices whose
-vertices it permutes cyclically.  Only descriptor data (dimensions, join
-structure, orientation behaviour, multiplicities) is materialized.
+b-1, quotiented by the cyclic group C_d of its stratum acting on the fibres,
+times a discrete set; the base, d and the discrete set are shared with the
+complex form (:mod:`extquot.complex_quotient`).  The fibre over a base point
+is a product of simplices of dimensions m_j - 1, one per distinct part j; the
+cyclic action cuts each simplex into a join of m_j / d smaller simplices
+whose vertices it permutes cyclically.  Only descriptor data (dimensions,
+join structure, orientation behaviour, multiplicities) is materialized.
 
 Two different orientability questions arise and are kept separate: whether
 the cyclic group preserves the orientation of the fibres (any k), and whether
@@ -18,16 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .complex_quotient import (
     OmegaLabel,
     QuotientCatalog,
-    _require_divides,
-    enumerate_omegas,
+    Stratum,
+    _stratum,
+    decompose,
     singularity_weights,
 )
 from .numtheory import two_adic_valuation
-from .partitions import Partition, enumerate_partitions, invariants
+from .partitions import Partition, invariants
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,11 @@ class RealComponent:
     bundle-orientability criterion applies.
     """
 
+    form: ClassVar[str] = "real"
+
     partition: Partition
     omega: OmegaLabel
-    base_torus_dim: int
+    torus_dim: int
     fiber_simplex_dims: tuple[int, ...]
     cyclic_order: int
     multiplicity: int
@@ -48,12 +53,33 @@ class RealComponent:
     action_orientation_preserving: bool
     bundle_orientable: bool | None = None
 
+    @classmethod
+    def from_stratum(cls, s: Stratum) -> RealComponent:
+        """The polysimplex fibre over the stratum.
+
+        The fibre action preserves orientation iff c is odd or the 2-adic
+        norm of c is smaller than that of d, i.e. the 2-adic valuation of c
+        exceeds that of d.
+        """
+        c, d, runs = s.invariants.c, s.d, s.partition.runs
+        return cls(
+            partition=s.partition,
+            omega=s.omega,
+            torus_dim=s.torus_dim,
+            fiber_simplex_dims=tuple(m - 1 for _, m in runs),
+            cyclic_order=d,
+            multiplicity=s.multiplicity,
+            join_counts=tuple(m // d for _, m in runs),
+            action_orientation_preserving=c % 2 == 1 or two_adic_valuation(c) > two_adic_valuation(d),
+            bundle_orientable=bundle_orientable_k1(s.partition) if s.k == 1 else None,
+        )
+
     def to_dict(self) -> dict:
         data = {
             "partition": list(self.partition.parts),
             "omega_exponent": self.omega.exponent,
             "omega_order": self.omega.order,
-            "torus_dim": self.base_torus_dim,
+            "torus_dim": self.torus_dim,
             "multiplicity": self.multiplicity,
             "singularity": singularity_weights(self.partition, self.cyclic_order).to_dict(),
             "fiber_simplex_dims": list(self.fiber_simplex_dims),
@@ -66,30 +92,8 @@ class RealComponent:
 
 
 def real_component(mu: Partition, omega: OmegaLabel, n: int, k: int) -> RealComponent:
-    """The stratum of the real quotient labelled by (mu, omega).
-
-    The fibre action preserves orientation iff c is odd or the 2-adic norm of
-    c is smaller than that of d, i.e. the 2-adic valuation of c exceeds that
-    of d.
-    """
-    _require_divides(k, n)
-    inv = invariants(mu)
-    order = omega.order
-    if k % order != 0:
-        raise ValueError(f"omega order {order} does not divide k={k}")
-    d = math.gcd(inv.m, k // order)
-    orientation = inv.c % 2 == 1 or two_adic_valuation(inv.c) > two_adic_valuation(d)
-    return RealComponent(
-        partition=mu,
-        omega=omega,
-        base_torus_dim=inv.b - 1,
-        fiber_simplex_dims=tuple(m - 1 for _, m in mu.runs),
-        cyclic_order=d,
-        multiplicity=math.gcd(inv.g // order, n // k),
-        join_counts=tuple(m // d for _, m in mu.runs),
-        action_orientation_preserving=orientation,
-        bundle_orientable=bundle_orientable_k1(mu) if k == 1 else None,
-    )
+    """The stratum of the real quotient labelled by (mu, omega)."""
+    return RealComponent.from_stratum(_stratum(mu, invariants(mu), omega, n, k))
 
 
 def bundle_orientable_k1(mu: Partition) -> bool:
@@ -101,8 +105,8 @@ def bundle_orientable_k1(mu: Partition) -> bool:
     two vectors independence means: second vector nonzero and different from
     the first.
     """
-    inv = invariants(mu)
-    parts_vec = tuple(j // inv.g % 2 for j, _ in mu.runs)
+    g = math.gcd(*(j for j, _ in mu.runs))
+    parts_vec = tuple(j // g % 2 for j, _ in mu.runs)
     mults_vec = tuple((m - 1) % 2 for _, m in mu.runs)
     independent = any(mults_vec) and mults_vec != parts_vec
     return not independent
@@ -110,9 +114,4 @@ def bundle_orientable_k1(mu: Partition) -> bool:
 
 def decompose_real(n: int, k: int) -> QuotientCatalog:
     """The full real catalog for (n, k); ordering matches decompose_complex."""
-    _require_divides(k, n)
-    entries = []
-    for mu in enumerate_partitions(n):
-        for omega in enumerate_omegas(mu, n, k):
-            entries.append(real_component(mu, omega, n, k))
-    return QuotientCatalog(n=n, k=k, form="real", entries=tuple(entries))
+    return decompose(RealComponent, n, k)

@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .complex_quotient import (
+    ComplexComponent,
     canonical_singularity,
-    complex_component,
     component_count_from_gcd,
     decompose_complex,
-    enumerate_omegas,
+    partition_components,
 )
 from .numtheory import divisor_sigma, divisors, pillai, pillai_via_totient
 from .partitions import Partition
@@ -51,10 +53,28 @@ REQUIRED_COLUMNS = {
     "sl16_examples": ("n", "k", *CATALOG_COLUMNS),
     "su6_orientability": SU6_COLUMNS,
 }
+# The keys a fixture with rows must hold, each once: the n rows of the Betti
+# tables, the (n, k) cells of the K-theory grid and the (n, k) row groups of
+# the catalogs.  A fixture without rows fails as a table that compares nothing.
+EXPECTED_KEYS = {
+    "betti_k1": [(n,) for n in range(1, 46)],
+    "betti_k2": [(n,) for n in range(2, 61, 2)],
+    "ktheory": [(n, k) for n in range(2, 21) for k in range(1, 21)],
+    "sl6_catalogs": [(6, k) for k in divisors(6)],
+    "sl16_examples": [(16, 2), (16, 4), (16, 8)],
+}
+# The form of every cell that is read as a number or a partition.
+CELL_PATTERNS = {
+    "n": "[1-9][0-9]*",
+    "k": "[1-9][0-9]*",
+    "omega_exponent": "[0-9]+",
+    "partition": r"[1-9][0-9]*(\+[1-9][0-9]*)*",
+}
 
 
 class FixtureError(ValueError):
-    """A reference fixture is missing, empty or lacks a required column."""
+    """A reference fixture is missing or empty, lacks a required column, has
+    a malformed cell, or lacks, repeats or adds a key."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +115,9 @@ def fixture_text(table_id: str, fixture_dir: str | Path | None = None) -> str:
 
 
 def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict[str, str]]:
-    """The fixture's rows, after checking that its header has every required
-    column; raises :class:`FixtureError` naming the table and the file."""
+    """The fixture's rows, after checking its header, the form of its number
+    and partition cells and its keys; raises :class:`FixtureError` naming the
+    table and the file."""
     path = fixture_path(table_id, fixture_dir)
 
     def error(problem: str) -> FixtureError:
@@ -114,8 +135,29 @@ def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict
     for column in REQUIRED_COLUMNS[table_id]:
         if column not in header:
             raise error(f"missing column {column!r}")
-    if table_id == "ktheory" and not all(c == "n" or c.isdigit() and int(c) > 0 for c in header):
+    if len(set(header)) != len(header):
+        raise error("a column name appears twice")
+    if table_id == "ktheory" and not all(c == "n" or re.fullmatch(CELL_PATTERNS["k"], c) for c in header):
         raise error("every column but n must be a positive k")
+    for line, row in enumerate(rows, start=2):
+        for column, pattern in CELL_PATTERNS.items():
+            if column in header and not re.fullmatch(pattern, row[column] or ""):
+                raise error(f"line {line}: malformed {column} cell {row[column]!r}")
+    if rows and table_id in EXPECTED_KEYS:
+        if table_id == "ktheory":
+            keys = [(int(row["n"]), int(c)) for row in rows for c in header if c != "n"]
+        elif "k" in header:  # a catalog: one group of rows per (n, k)
+            keys = list(dict.fromkeys((int(row["n"]), int(row["k"])) for row in rows))
+        else:
+            keys = [(int(row["n"]),) for row in rows]
+        expected = EXPECTED_KEYS[table_id]
+        surplus = Counter(keys)
+        surplus.subtract(expected)
+        for key, extra in surplus.items():
+            if extra:
+                label = " ".join(f"{name}={value}" for name, value in zip(("n", "k"), key))
+                want = int(key in expected)
+                raise error(f"{label} found {want + extra} times, expected {want}")
     return rows
 
 
@@ -147,6 +189,9 @@ def _verify_betti(table_id, rows, k) -> DiffReport:
             if expected != actual:
                 report.mismatches.append(Mismatch(f"n={n} b_{degree}", expected, actual))
             degree += 1
+        for degree in range(degree, len(ranks)):  # degrees beyond the last column
+            report.cells_checked += 1
+            report.mismatches.append(Mismatch(f"n={n} b_{degree}", "", str(ranks[degree])))
     return report
 
 
@@ -191,11 +236,11 @@ def _verify_catalog(table_id, rows) -> DiffReport:
         if table_id == "sl6_catalogs":
             entries = list(decompose_complex(n, k).entries)
         else:
-            partitions = sorted({row["partition"] for row in expected_rows})
+            # The worked cases list a few partitions; only those are computed.
             entries = []
-            for text in sorted(partitions):
+            for text in sorted({row["partition"] for row in expected_rows}):
                 mu = Partition.from_parts(int(p) for p in text.split("+"))
-                entries.extend(complex_component(mu, om, n, k) for om in enumerate_omegas(mu, n, k))
+                entries.extend(partition_components(ComplexComponent, mu, n, k))
             entries.sort(key=lambda e: (str(e.partition), e.omega.exponent))
             expected_rows = sorted(expected_rows, key=lambda r: (r["partition"], int(r["omega_exponent"])))
         report.cells_checked += 1

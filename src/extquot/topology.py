@@ -22,15 +22,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .complex_quotient import (
+    ComplexComponent,
     QuotientCatalog,
     canonical_singularity,
     component_count_from_gcd,
-    decompose_complex,
+    partition_components,
     variety_normal_form,
     _require_divides,
 )
 from .numtheory import divisors
-from .partitions import Partition, gcd_distinct_counts, partitions_pairs
+from .partitions import Partition, enumerate_partitions, gcd_distinct_counts, partitions_pairs
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,7 @@ def betti_from_catalog(catalog: QuotientCatalog) -> BettiVector:
     """
     by_dim: Counter[int] = Counter()
     for entry in catalog.entries:
-        dim = entry.torus_dim if catalog.form == "complex" else entry.base_torus_dim
-        by_dim[dim] += entry.multiplicity
+        by_dim[entry.torus_dim] += entry.multiplicity
     top = max(by_dim)
     ranks = tuple(
         sum(total * math.comb(dim, j) for dim, total in by_dim.items())
@@ -160,6 +160,18 @@ class DualityReport:
         return [line.partition for line in self.lines if not line.variety_singularities_equal]
 
 
+def _profile(components: list) -> tuple[int, Counter, Counter, Counter]:
+    """One side of a partition's duality comparison: its component count and
+    the multisets of torus dimensions, canonical singularities and variety
+    normal forms, each weighted by multiplicity."""
+    torus_dims, descriptors, varieties = Counter(), Counter(), Counter()
+    for e in components:
+        torus_dims[e.torus_dim] += e.multiplicity
+        descriptors[canonical_singularity(e.singularity)] += e.multiplicity
+        varieties[variety_normal_form(e.singularity)] += e.multiplicity
+    return sum(torus_dims.values()), torus_dims, descriptors, varieties
+
+
 def duality_report(n: int, k: int) -> DualityReport:
     """Compare the (n, k) quotient with its dual (n, n/k) stratum by stratum.
 
@@ -171,36 +183,21 @@ def duality_report(n: int, k: int) -> DualityReport:
     """
     _require_divides(k, n)
     k_dual = n // k
-    catalog = decompose_complex(n, k)
-    dual = decompose_complex(n, k_dual)
     lines = []
-    for (mu, group), (mu_dual, group_dual) in zip(catalog.by_partition(), dual.by_partition()):
-        assert mu == mu_dual
-        count = sum(e.multiplicity for e in group)
-        count_dual = sum(e.multiplicity for e in group_dual)
-        torus_hist = Counter()
-        torus_hist_dual = Counter()
-        descriptor = Counter()
-        descriptor_dual = Counter()
-        variety = Counter()
-        variety_dual = Counter()
-        for e in group:
-            torus_hist[e.torus_dim] += e.multiplicity
-            descriptor[canonical_singularity(e.singularity)] += e.multiplicity
-            variety[variety_normal_form(e.singularity)] += e.multiplicity
-        for e in group_dual:
-            torus_hist_dual[e.torus_dim] += e.multiplicity
-            descriptor_dual[canonical_singularity(e.singularity)] += e.multiplicity
-            variety_dual[variety_normal_form(e.singularity)] += e.multiplicity
+    for mu in enumerate_partitions(n):
+        side = partition_components(ComplexComponent, mu, n, k)
+        count, torus_dims, descriptors, varieties = _profile(side)
+        count_dual, torus_dims_dual, descriptors_dual, varieties_dual = _profile(
+            partition_components(ComplexComponent, mu, n, k_dual))
         lines.append(
             PartitionDuality(
                 partition=mu,
                 component_count=count,
                 component_count_dual=count_dual,
-                torus_dim=group[0].torus_dim,
-                torus_counts_equal=torus_hist == torus_hist_dual,
-                descriptor_singularities_equal=descriptor == descriptor_dual,
-                variety_singularities_equal=variety == variety_dual,
+                torus_dim=side[0].torus_dim,
+                torus_counts_equal=torus_dims == torus_dims_dual,
+                descriptor_singularities_equal=descriptors == descriptors_dual,
+                variety_singularities_equal=varieties == varieties_dual,
             )
         )
     return DualityReport(
@@ -228,6 +225,28 @@ def ktheory_table(max_n: int) -> list[tuple[int, dict[int, KTheoryRanks]]]:
     return [(n, {k: ktheory_ranks(n, k) for k in divisors(n)}) for n in range(2, max_n + 1)]
 
 
+def betti_grid(vectors: Sequence[BettiVector]) -> list[list[str]]:
+    """The reference-table layout: one row per n, blank cells for degrees
+    above the row's top degree."""
+    width = max((len(v.ranks) for v in vectors), default=0)
+    rows = [["n"] + [f"b_{j}" for j in range(width)]]
+    for v in vectors:
+        rows.append([str(v.n)] + [str(r) for r in v.ranks] + [""] * (width - len(v.ranks)))
+    return rows
+
+
+def ktheory_grid(rows: Sequence[tuple[int, dict[int, KTheoryRanks]]]) -> list[list[str]]:
+    """One row per n, one column per k, cells "k0/k1" and blanks where k does
+    not divide n."""
+    max_k = max((n for n, _ in rows), default=0)
+    grid = [["n"] + [str(k) for k in range(1, max_k + 1)]]
+    for n, cells in rows:
+        grid.append([str(n)] + [
+            f"{cells[k].k0}/{cells[k].k1}" if k in cells else "" for k in range(1, max_k + 1)
+        ])
+    return grid
+
+
 def _csv_text(rows: Iterable[Sequence[str]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -235,51 +254,11 @@ def _csv_text(rows: Iterable[Sequence[str]]) -> str:
     return out.getvalue()
 
 
-def render_betti_csv(vectors: Sequence[BettiVector]) -> str:
-    """CSV in the reference-table layout: one row per n, blank cells for
-    degrees above the row's top degree."""
-    width = max((len(v.ranks) for v in vectors), default=0)
-    header = ["n"] + [f"b_{j}" for j in range(width)]
-    rows = [header]
-    for v in vectors:
-        cells = [str(v.n)] + [str(r) for r in v.ranks] + [""] * (width - len(v.ranks))
-        rows.append(cells)
-    return _csv_text(rows)
-
-
-def render_betti_markdown(vectors: Sequence[BettiVector]) -> str:
-    width = max((len(v.ranks) for v in vectors), default=0)
-    header = ["n"] + [f"b_{j}" for j in range(width)]
+def render_grid(rows: Iterable[Sequence], fmt: str) -> str:
+    """A table whose first row is its header, as CSV or as a markdown grid."""
+    if fmt == "csv":
+        return _csv_text(rows)
+    header, *body = rows
     lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for v in vectors:
-        cells = [str(v.n)] + [str(r) for r in v.ranks] + [""] * (width - len(v.ranks))
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def render_ktheory_csv(rows: Sequence[tuple[int, dict[int, KTheoryRanks]]]) -> str:
-    """CSV grid layout: one row per n, one column per k, cells "k0/k1" and
-    blanks where k does not divide n."""
-    max_k = max((n for n, _ in rows), default=0)
-    header = ["n"] + [str(k) for k in range(1, max_k + 1)]
-    table = [header]
-    for n, cells in rows:
-        row = [str(n)]
-        for k in range(1, max_k + 1):
-            ranks = cells.get(k)
-            row.append(f"{ranks.k0}/{ranks.k1}" if ranks is not None else "")
-        table.append(row)
-    return _csv_text(table)
-
-
-def render_ktheory_markdown(rows: Sequence[tuple[int, dict[int, KTheoryRanks]]]) -> str:
-    max_k = max((n for n, _ in rows), default=0)
-    header = ["n"] + [str(k) for k in range(1, max_k + 1)]
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for n, cells in rows:
-        row = [str(n)]
-        for k in range(1, max_k + 1):
-            ranks = cells.get(k)
-            row.append(f"{ranks.k0}/{ranks.k1}" if ranks is not None else "")
-        lines.append("| " + " | ".join(row) + " |")
+    lines.extend("| " + " | ".join(row) + " |" for row in body)
     return "\n".join(lines) + "\n"

@@ -41,7 +41,7 @@ def test_criterion_2_betti_table_k2():
     assert report.ok, report.mismatches
     assert report.cells_checked == 30 * 10
     computed = topology.betti_table(60, 2, even_only=True)
-    assert topology.render_betti_csv(computed) == reference.fixture_text("betti_k2")
+    assert topology.render_grid(topology.betti_grid(computed), "csv") == reference.fixture_text("betti_k2")
     print(f"\nCRITERION 2 PASS: betti(n,2) matches all 30 even rows to n=60 exactly [{elapsed:.1f}s]")
 
 

@@ -1,11 +1,14 @@
+import csv
 import json
 import shutil
+import sys
 
 import pytest
 from click.testing import CliRunner
 
 from extquot import reference
 from extquot.cli import main, parse_partition
+from extquot.complex_quotient import decompose_complex
 from extquot.partitions import Partition
 
 
@@ -210,3 +213,97 @@ def test_verify_fixture_without_rows_fails(runner, tmp_path):
     assert result.exit_code == 1
     assert "betti_k2: 0 cells checked, FAILED" in result.output
     assert "verification FAILED" in result.output
+
+
+def _drop_lines(path, predicate):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not predicate(line)))
+
+
+def test_verify_missing_betti_row_is_a_data_error(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "betti_k1.csv"
+    _drop_lines(path, lambda line: line.startswith("45,"))
+    result = _verify_table(runner, "betti_k1", tmp_path)
+    _assert_data_error(result, "betti_k1", path)
+    assert "n=45 found 0 times, expected 1" in result.stderr
+
+
+def test_verify_duplicate_betti_row_is_a_data_error(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "betti_k1.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:6] + [lines[5]] + lines[6:]))
+    result = _verify_table(runner, "betti_k1", tmp_path)
+    _assert_data_error(result, "betti_k1", path)
+    assert "n=5 found 2 times, expected 1" in result.stderr
+
+
+def test_verify_missing_ktheory_column_is_a_data_error(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "ktheory.csv"
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()))
+    result = _verify_table(runner, "ktheory", tmp_path)
+    _assert_data_error(result, "ktheory", path)
+    assert "n=2 k=20 found 0 times, expected 1" in result.stderr
+
+
+@pytest.mark.parametrize("table_id, prefix", [("sl6_catalogs", "6,3,"), ("sl16_examples", "16,8,")])
+def test_verify_missing_catalog_group_is_a_data_error(runner, tmp_path, table_id, prefix):
+    path = _fixture_copy(tmp_path) / f"{table_id}.csv"
+    _drop_lines(path, lambda line: line.startswith(prefix))
+    result = _verify_table(runner, table_id, tmp_path)
+    _assert_data_error(result, table_id, path)
+    n, k = prefix.rstrip(",").split(",")
+    assert f"n={n} k={k} found 0 times, expected 1" in result.stderr
+
+
+@pytest.mark.parametrize("table_id, column", [
+    ("betti_k1", "n"),
+    ("ktheory", "n"),
+    ("sl16_examples", "k"),
+    ("sl16_examples", "omega_exponent"),
+    ("sl16_examples", "partition"),
+])
+def test_verify_malformed_cell_is_a_data_error(runner, tmp_path, table_id, column):
+    path = _fixture_copy(tmp_path) / f"{table_id}.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    rows[0][column] = "x"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    result = _verify_table(runner, table_id, tmp_path)
+    _assert_data_error(result, table_id, path)
+    assert f"line 2: malformed {column} cell 'x'" in result.stderr
+
+
+def test_verify_betti_degree_beyond_the_last_column_is_a_mismatch(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "betti_k1.csv"
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in path.read_text().splitlines()))
+    result = _verify_table(runner, "betti_k1", tmp_path)
+    assert result.exit_code == 1
+    assert "n=45 b_8: expected '', got '1'" in result.output
+
+
+@pytest.fixture()
+def no_enumeration(monkeypatch):
+    """Make every binding of enumerate_partitions in the package raise."""
+
+    def refuse(n):
+        raise AssertionError(f"enumerated the partitions of {n}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("extquot") and hasattr(module, "enumerate_partitions"):
+            monkeypatch.setattr(module, "enumerate_partitions", refuse)
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--n", "16", "--k", "8", "--partition", "2^4,4^2", "--form", "real", "--format", "json"],
+    ["decompose", "--n", "100", "--k", "4", "--partition", "25,25,25,25"],
+    ["component", "--n", "16", "--k", "8", "--partition", "2^4,4^2", "--omega-exponent", "1"],
+    ["verify", "paper", "--table", "sl16_examples"],
+])
+def test_lookups_build_no_catalog(runner, no_enumeration, args):
+    with pytest.raises(AssertionError, match="enumerated"):
+        decompose_complex(6, 1)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output

@@ -131,7 +131,7 @@ def test_decompose_complex_ordering():
         assert exps == sorted(exps)
         expected.extend((parts, exp) for exp in exps)
     assert keys == expected
-    assert len(list(catalog.by_partition())) == 11
+    assert len({e.partition for e in catalog.entries}) == 11
 
 
 def test_decompose_complex_rejects_bad_k():

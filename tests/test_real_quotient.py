@@ -58,7 +58,7 @@ def test_real_and_complex_catalogs_agree():
             for r, c in zip(real.entries, cplx.entries):
                 assert r.partition == c.partition
                 assert r.omega == c.omega
-                assert r.base_torus_dim == c.torus_dim
+                assert r.torus_dim == c.torus_dim
                 assert r.multiplicity == c.multiplicity
                 assert r.cyclic_order == c.singularity.group_order
             assert betti_from_catalog(real) == betti_from_catalog(cplx)

@@ -14,14 +14,14 @@ from extquot.real_quotient import decompose_real
 from extquot.topology import (
     betti,
     betti_from_catalog,
+    betti_grid,
     betti_table,
     duality_report,
     euler_characteristic,
+    ktheory_grid,
     ktheory_table,
     ktheory_ranks,
-    render_betti_csv,
-    render_betti_markdown,
-    render_ktheory_csv,
+    render_grid,
     top_betti,
 )
 
@@ -141,16 +141,16 @@ def test_betti_table_rows():
 
 def test_render_betti_csv_round_trips_reference_table():
     vectors = betti_table(45, 1)
-    assert render_betti_csv(vectors) == reference.fixture_text("betti_k1")
+    assert render_grid(betti_grid(vectors), "csv") == reference.fixture_text("betti_k1")
 
 
 def test_render_ktheory_csv_round_trips_reference_table():
     rows = ktheory_table(20)
-    assert render_ktheory_csv(rows) == reference.fixture_text("ktheory")
+    assert render_grid(ktheory_grid(rows), "csv") == reference.fixture_text("ktheory")
 
 
 def test_render_empty_and_markdown():
-    assert render_betti_csv([]) == "n\n"
-    text = render_betti_markdown(betti_table(6, 1))
+    assert render_grid(betti_grid([]), "csv") == "n\n"
+    text = render_grid(betti_grid(betti_table(6, 1)), "markdown")
     assert text.splitlines()[0] == "| n | b_0 | b_1 | b_2 |"
     assert "| 6 | 20 | 9 | 1 |" in text
