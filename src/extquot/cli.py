@@ -2,8 +2,9 @@
 
 Commands: decompose, betti, ktheory, euler, table, duality, verify,
 component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-domain error, or a reference fixture that is missing, empty or lacks a
-required column.  Output is deterministic across runs.
+domain error, a full catalog of more than MAX_CATALOG_ROWS rows, or a
+reference fixture that is missing, empty or lacks a required column.  Output
+is deterministic across runs.
 """
 
 from __future__ import annotations
@@ -14,12 +15,22 @@ from typing import Iterator
 import click
 
 from . import reference, topology
-from .complex_quotient import ComplexComponent, QuotientCatalog, decompose_complex, partition_components
+from .complex_quotient import (
+    ComplexComponent,
+    QuotientCatalog,
+    catalog_rows,
+    decompose_complex,
+    partition_components,
+)
+from .numtheory import divisors
 from .partitions import Partition
 from .real_quotient import RealComponent, decompose_real
 from .topology import betti, duality_report, euler_characteristic, ktheory_ranks, render_grid
 
 FORMS = {"complex": ComplexComponent, "real": RealComponent}
+# A full catalog is held in memory before it is printed, at several KB per
+# row; larger ones are refused.  Single-partition lookups are not limited.
+MAX_CATALOG_ROWS = 1_000_000
 
 
 def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None:
@@ -126,10 +137,15 @@ def main() -> None:
 @click.option("--form", type=click.Choice(["complex", "real"]), default="complex", show_default=True)
 @click.option("--partition", "partition_text", default=None, help="restrict to one partition of n")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="markdown", show_default=True)
-def decompose(n: int, k: int, form: str, partition_text: str | None, fmt: str) -> None:
+@click.pass_context
+def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str | None, fmt: str) -> None:
     """Print the component catalog of the (n, k) extended quotient."""
     partition = parse_partition(partition_text) if partition_text else None
     _check_arguments(n, k, partition)
+    if partition is None and (rows := catalog_rows(n, k)) > MAX_CATALOG_ROWS:
+        click.echo(f"Error: the (n={n}, k={k}) catalog has {rows:,} rows, more than the "
+                   f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
+        ctx.exit(2)
     if partition is not None:
         entries = tuple(partition_components(FORMS[form], partition, n, k))
         catalog = QuotientCatalog(n=n, k=k, form=form, entries=entries)
@@ -209,8 +225,6 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
     """Check Langlands duality for every divisor k of n."""
     if n < 1:
         raise click.UsageError("n must be positive")
-    from .numtheory import divisors
-
     reports = [duality_report(n, k) for k in divisors(n)]
     failed = any(not report.ok for report in reports)
     if fmt == "json":

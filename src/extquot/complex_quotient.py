@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
-from .numtheory import pillai
-from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants
+from .numtheory import divisors, pillai, totient
+from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants, partition_count
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,12 @@ def _stratum(mu: Partition, inv: PartitionInvariants, omega: OmegaLabel, n: int,
                    multiplicity=math.gcd(inv.g // order, n // k))
 
 
-def strata(mu: Partition, n: int, k: int) -> list[Stratum]:
+def strata(mu: Partition, n: int, k: int, inv: PartitionInvariants | None = None) -> list[Stratum]:
     """The strata labelled by mu, one per omega = zeta_h^e for e = 0..h-1
-    with h = gcd(g(mu), k); the invariants of mu are computed once."""
-    inv = invariants(mu)
+    with h = gcd(g(mu), k); the invariants of mu are computed once, or taken
+    from ``inv`` when the caller already has them."""
+    if inv is None:
+        inv = invariants(mu)
     h = math.gcd(inv.g, k)
     return [_stratum(mu, inv, OmegaLabel(h, e), n, k) for e in range(h)]
 
@@ -166,6 +168,19 @@ def decompose(component_type: type, n: int, k: int) -> QuotientCatalog:
     for mu in enumerate_partitions(n):
         entries.extend(partition_components(component_type, mu, n, k))
     return QuotientCatalog(n=n, k=k, form=component_type.form, entries=tuple(entries))
+
+
+def catalog_rows(n: int, k: int) -> int:
+    """The number of entries :func:`decompose` gives for (n, k) in either
+    form, counted without enumerating partitions.
+
+    A partition with part-gcd g has gcd(g, k) = sum over e | gcd(g, k) of
+    totient(e) strata, and the partitions of n whose parts are all divisible
+    by e number P(n/e), so the count is the sum over e | k of
+    totient(e) * P(n/e).
+    """
+    _require_divides(k, n)
+    return sum(totient(e) * partition_count(n // e) for e in divisors(k))
 
 
 def enumerate_omegas(mu: Partition, n: int, k: int) -> list[OmegaLabel]:

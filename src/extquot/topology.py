@@ -10,6 +10,9 @@ answers for the real and complex catalogs.
 
 K-theory ranks are the even/odd Betti sums (Chern character over C), and the
 Euler characteristic for k = 1 equals the divisor sum of n.
+
+Duality reports compare the (n, k) and (n, n/k) quotients once per invariant
+class (g, m, b, c, p) of partitions of n, not once per partition.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import io
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .complex_quotient import (
@@ -26,12 +30,12 @@ from .complex_quotient import (
     QuotientCatalog,
     canonical_singularity,
     component_count_from_gcd,
-    partition_components,
+    strata,
     variety_normal_form,
     _require_divides,
 )
 from .numtheory import divisors
-from .partitions import Partition, enumerate_partitions, gcd_distinct_counts, partitions_pairs
+from .partitions import Partition, enumerate_partitions, gcd_distinct_counts, invariants, partitions_pairs
 
 
 @dataclass(frozen=True)
@@ -160,16 +164,41 @@ class DualityReport:
         return [line.partition for line in self.lines if not line.variety_singularities_equal]
 
 
-def _profile(components: list) -> tuple[int, Counter, Counter, Counter]:
-    """One side of a partition's duality comparison: its component count and
-    the multisets of torus dimensions, canonical singularities and variety
-    normal forms, each weighted by multiplicity."""
+@lru_cache(maxsize=2)  # the reports for every divisor of one n read the same entry
+def _invariant_classes(n: int) -> tuple[tuple, tuple]:
+    """Every partition of n in enumeration order with the index of its
+    invariant class, and the classes as (first partition, invariants) pairs.
+    ``invariants`` runs once per partition."""
+    index, labelled, classes = {}, [], []
+    for mu in enumerate_partitions(n):
+        inv = invariants(mu)
+        if inv not in index:
+            index[inv] = len(classes)
+            classes.append((mu, inv))
+        labelled.append((mu, index[inv]))
+    return tuple(labelled), tuple(classes)
+
+
+def _profile(components: list) -> tuple[int, int, Counter, Counter, Counter]:
+    """One side of a partition's duality comparison: its component count, its
+    torus dimension and the multisets of torus dimensions, canonical
+    singularities and variety normal forms, each weighted by multiplicity."""
     torus_dims, descriptors, varieties = Counter(), Counter(), Counter()
     for e in components:
         torus_dims[e.torus_dim] += e.multiplicity
         descriptors[canonical_singularity(e.singularity)] += e.multiplicity
         varieties[variety_normal_form(e.singularity)] += e.multiplicity
-    return sum(torus_dims.values()), torus_dims, descriptors, varieties
+    return sum(torus_dims.values()), components[0].torus_dim, torus_dims, descriptors, varieties
+
+
+@lru_cache(maxsize=16)  # no n small enough to report on has more divisors
+def _side_profiles(n: int, k: int) -> tuple[tuple[int, int, Counter, Counter, Counter], ...]:
+    """The profile of every invariant class of n in the (n, k) quotient, in
+    class order.  The reports for k and for n/k both read it."""
+    return tuple(
+        _profile([ComplexComponent.from_stratum(s) for s in strata(mu, n, k, inv)])
+        for mu, inv in _invariant_classes(n)[1]
+    )
 
 
 def duality_report(n: int, k: int) -> DualityReport:
@@ -180,33 +209,26 @@ def duality_report(n: int, k: int) -> DualityReport:
     compared both at the level of group data (canonical weight tuples) and at
     the level of the underlying varieties (quasi-reflections discarded), and
     partitions are flagged when the varieties genuinely differ.
+
+    Each comparison is made once per invariant class and shared by its
+    partitions, from side profiles that the report for n/k reuses.
     """
     _require_divides(k, n)
     k_dual = n // k
-    lines = []
-    for mu in enumerate_partitions(n):
-        side = partition_components(ComplexComponent, mu, n, k)
-        count, torus_dims, descriptors, varieties = _profile(side)
-        count_dual, torus_dims_dual, descriptors_dual, varieties_dual = _profile(
-            partition_components(ComplexComponent, mu, n, k_dual))
-        lines.append(
-            PartitionDuality(
-                partition=mu,
-                component_count=count,
-                component_count_dual=count_dual,
-                torus_dim=side[0].torus_dim,
-                torus_counts_equal=torus_dims == torus_dims_dual,
-                descriptor_singularities_equal=descriptors == descriptors_dual,
-                variety_singularities_equal=varieties == varieties_dual,
-            )
-        )
+    by_class = [
+        (count, count_dual, torus_dim, torus_dims == torus_dims_dual,
+         descriptors == descriptors_dual, varieties == varieties_dual)
+        for (count, torus_dim, torus_dims, descriptors, varieties),
+            (count_dual, _, torus_dims_dual, descriptors_dual, varieties_dual)
+        in zip(_side_profiles(n, k), _side_profiles(n, k_dual))
+    ]
     return DualityReport(
         n=n,
         k=k,
         k_dual=k_dual,
         betti_ranks=betti(n, k).ranks,
         betti_ranks_dual=betti(n, k_dual).ranks,
-        lines=tuple(lines),
+        lines=tuple(PartitionDuality(mu, *by_class[label]) for mu, label in _invariant_classes(n)[0]),
     )
 
 

@@ -3,8 +3,10 @@
 These are deliberately written independently of the library code they check:
 cofactor expansion instead of Bareiss elimination, a sieve instead of trial
 division, direct power-series multiplication instead of the convolution
-formula, the defining gcd sum instead of Pillai's multiplicative formula, and
-a walk over every partition instead of the generating-function class counts.
+formula, the defining gcd sum instead of Pillai's multiplicative formula, a
+walk over every partition instead of the generating-function class counts,
+and a duality report that builds and compares both sides of every partition
+instead of sharing one comparison per invariant class.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from collections import Counter
 from functools import lru_cache
 from itertools import repeat
 
-from extquot.partitions import _descending_partitions
+from extquot.complex_quotient import (
+    ComplexComponent,
+    _require_divides,
+    canonical_singularity,
+    partition_components,
+    variety_normal_form,
+)
+from extquot.partitions import _descending_partitions, enumerate_partitions
+from extquot.topology import DualityReport, PartitionDuality, betti
 
 
 def cofactor_det(rows) -> int:
@@ -75,3 +85,47 @@ def iter_gcd_distinct(n: int):
 def enumerated_class_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """The (gcd, distinct parts) class counts of n, by walking every partition."""
     return tuple(sorted(Counter(iter_gcd_distinct(n)).items()))
+
+
+def _profile(components: list) -> tuple[int, Counter, Counter, Counter]:
+    """One side of a partition's duality comparison: its component count and
+    the multisets of torus dimensions, canonical singularities and variety
+    normal forms, each weighted by multiplicity."""
+    torus_dims, descriptors, varieties = Counter(), Counter(), Counter()
+    for e in components:
+        torus_dims[e.torus_dim] += e.multiplicity
+        descriptors[canonical_singularity(e.singularity)] += e.multiplicity
+        varieties[variety_normal_form(e.singularity)] += e.multiplicity
+    return sum(torus_dims.values()), torus_dims, descriptors, varieties
+
+
+def duality_report_oracle(n: int, k: int) -> DualityReport:
+    """The duality report built partition by partition: both sides of every
+    partition of n are decomposed and compared on their own."""
+    _require_divides(k, n)
+    k_dual = n // k
+    lines = []
+    for mu in enumerate_partitions(n):
+        side = partition_components(ComplexComponent, mu, n, k)
+        count, torus_dims, descriptors, varieties = _profile(side)
+        count_dual, torus_dims_dual, descriptors_dual, varieties_dual = _profile(
+            partition_components(ComplexComponent, mu, n, k_dual))
+        lines.append(
+            PartitionDuality(
+                partition=mu,
+                component_count=count,
+                component_count_dual=count_dual,
+                torus_dim=side[0].torus_dim,
+                torus_counts_equal=torus_dims == torus_dims_dual,
+                descriptor_singularities_equal=descriptors == descriptors_dual,
+                variety_singularities_equal=varieties == varieties_dual,
+            )
+        )
+    return DualityReport(
+        n=n,
+        k=k,
+        k_dual=k_dual,
+        betti_ranks=betti(n, k).ranks,
+        betti_ranks_dual=betti(n, k_dual).ranks,
+        lines=tuple(lines),
+    )

@@ -6,7 +6,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from extquot import reference
+from extquot import cli, reference
 from extquot.cli import main, parse_partition
 from extquot.complex_quotient import decompose_complex
 from extquot.partitions import Partition
@@ -307,3 +307,26 @@ def test_lookups_build_no_catalog(runner, no_enumeration, args):
         decompose_complex(6, 1)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("form", ["complex", "real"])
+def test_oversized_catalog_is_refused_without_enumeration(runner, no_enumeration, form):
+    result = runner.invoke(main, ["decompose", "--n", "100", "--k", "4", "--form", form])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    message = result.stderr.strip()
+    assert "\n" not in message
+    assert "190,777,434 rows" in message and "--partition" in message
+    result = runner.invoke(main, ["decompose", "--n", "100", "--k", "4", "--form", form,
+                                  "--partition", "25,25,25,25"])
+    assert result.exit_code == 0, result.output
+
+
+def test_catalog_row_limit_is_inclusive(runner, monkeypatch):
+    rows = len(decompose_complex(6, 2).entries)
+    monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", rows)
+    assert runner.invoke(main, ["decompose", "--n", "6", "--k", "2"]).exit_code == 0
+    monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", rows - 1)
+    result = runner.invoke(main, ["decompose", "--n", "6", "--k", "2"])
+    assert result.exit_code == 2
+    assert f"{rows} rows" in result.stderr

@@ -9,6 +9,7 @@ from extquot.complex_quotient import (
     CyclicSingularity,
     OmegaLabel,
     canonical_singularity,
+    catalog_rows,
     complex_component,
     component_count,
     component_count_from_gcd,
@@ -119,6 +120,19 @@ def test_decompose_complex_totals():
     entry = single.entries[0]
     assert entry.torus_dim == 0 and entry.multiplicity == 1
     assert entry.singularity.ambient_dim == 0
+
+
+def test_catalog_rows_counts_entries_without_enumeration():
+    for n in range(1, 21):
+        for k in divisors(n):
+            assert catalog_rows(n, k) == len(decompose_complex(n, k).entries)
+    for n in range(21, 41):
+        for k in divisors(n):
+            assert catalog_rows(n, k) == sum(math.gcd(g, k) for g, _ in iter_gcd_distinct(n))
+    assert catalog_rows(40, 4) == 38_049
+    assert catalog_rows(100, 4) == 190_777_434
+    with pytest.raises(ValueError):
+        catalog_rows(6, 4)
 
 
 def test_decompose_complex_ordering():

@@ -1,10 +1,12 @@
 """Byte-for-byte regression snapshots of CLI stdout.
 
 Each file under ``tests/golden/`` is the stdout of one command as the CLI
-printed it before its catalog engine and table writers were merged.  They
-are regression snapshots, not reference data: the transcribed ground truth
-lives in ``src/extquot/data``.  Replace a snapshot only with a change that
-means to alter that output.
+printed it before its catalog engine and table writers were merged, or, for
+``duality --n 30`` and ``--n 36``, before duality reports were shared per
+invariant class; n = 36 has the self-dual divisor k = 6.  They are
+regression snapshots, not reference data: the transcribed ground truth lives
+in ``src/extquot/data``.  Replace a snapshot only with a change that means to
+alter that output.
 """
 
 from pathlib import Path
@@ -42,6 +44,8 @@ def _golden_commands() -> dict[str, list[str]]:
     commands["table_ktheory.md"] = ["table", "ktheory", "--max-n", "20", "--format", "markdown"]
     commands["duality_n12.txt"] = ["duality", "--n", "12"]
     commands["duality_n16.txt"] = ["duality", "--n", "16"]
+    commands["duality_n30.json"] = ["duality", "--n", "30", "--format", "json"]
+    commands["duality_n36.txt"] = ["duality", "--n", "36"]
     return commands
 
 

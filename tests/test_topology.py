@@ -1,11 +1,12 @@
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerated_class_counts
+from conftest import duality_report_oracle, enumerated_class_counts
 from extquot import reference
 from extquot.complex_quotient import component_count_from_gcd, decompose_complex
 from extquot.numtheory import divisor_sigma, divisors
@@ -126,6 +127,25 @@ def test_duality_report_6_1_singularity_differences():
     # but the quotient varieties there are isomorphic
     descriptor_diffs = [str(l.partition) for l in report.lines if not l.descriptor_singularities_equal]
     assert descriptor_diffs == ["3+3", "2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
+
+
+def test_duality_report_matches_per_partition_oracle():
+    """The report shared per invariant class equals the per-partition loop,
+    line for line and field for field.  The divisors of each n are visited
+    in a shuffled order that mixes k and n/k, so a memo shared across calls
+    cannot make an answer depend on the order of the calls."""
+    rng = random.Random(20161018)
+    for n in range(1, 25):
+        ks = divisors(n)
+        rng.shuffle(ks)
+        for k in ks:
+            fast, slow = duality_report(n, k), duality_report_oracle(n, k)
+            assert (fast.n, fast.k, fast.k_dual) == (slow.n, slow.k, slow.k_dual)
+            assert fast.betti_ranks == slow.betti_ranks
+            assert fast.betti_ranks_dual == slow.betti_ranks_dual
+            assert len(fast.lines) == len(slow.lines)
+            for line, expected in zip(fast.lines, slow.lines):
+                assert line == expected, (n, k, str(expected.partition))
 
 
 def test_square_free_answers_do_not_vary_with_k():
