@@ -9,11 +9,8 @@ from .complex_quotient import (
     OmegaLabel,
     QuotientCatalog,
     canonical_singularity,
-    complex_component,
-    component_count,
-    decompose_complex,
-    enumerate_omegas,
-    singularity_weights,
+    decompose,
+    partition_components,
     variety_normal_form,
 )
 from .numtheory import (
@@ -38,15 +35,12 @@ from .partitions import (
 from .real_quotient import (
     RealComponent,
     bundle_orientable_k1,
-    decompose_real,
-    real_component,
 )
 from .topology import (
     BettiVector,
     DualityReport,
     KTheoryRanks,
     betti,
-    betti_from_catalog,
     duality_report,
     euler_characteristic,
     ktheory_ranks,
@@ -68,28 +62,22 @@ __all__ = [
     "RealComponent",
     "UnimodularMatrix",
     "betti",
-    "betti_from_catalog",
     "bundle_orientable_k1",
     "canonical_singularity",
-    "complex_component",
-    "component_count",
-    "decompose_complex",
-    "decompose_real",
+    "decompose",
     "divisor_sigma",
     "divisors",
     "duality_report",
-    "enumerate_omegas",
     "enumerate_partitions",
     "euler_characteristic",
     "gcd_many",
     "invariants",
     "ktheory_ranks",
+    "partition_components",
     "partition_count",
     "partitions_pairs",
     "pillai",
     "pillai_via_totient",
-    "real_component",
-    "singularity_weights",
     "top_betti",
     "totient",
     "two_adic_valuation",

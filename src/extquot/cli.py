@@ -2,34 +2,31 @@
 
 Commands: decompose, betti, ktheory, euler, table, duality, verify,
 component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-domain error, a full catalog of more than MAX_CATALOG_ROWS rows, or a
-reference fixture that is missing, empty or lacks a required column.  Output
-is deterministic across runs.
+domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
+report over more than MAX_CATALOG_ROWS partitions, or a reference fixture
+that is missing, empty or lacks a required column.  Output is deterministic
+across runs.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Iterator
 
 import click
 
-from . import reference, topology
-from .complex_quotient import (
-    ComplexComponent,
-    QuotientCatalog,
-    catalog_rows,
-    decompose_complex,
-    partition_components,
-)
+from . import complex_quotient, reference, topology
+from .complex_quotient import ComplexComponent, QuotientCatalog, catalog_rows, partition_components
 from .numtheory import divisors
-from .partitions import Partition
-from .real_quotient import RealComponent, decompose_real
+from .partitions import Partition, partition_count
+from .real_quotient import RealComponent
 from .topology import betti, duality_report, euler_characteristic, ktheory_ranks, render_grid
 
 FORMS = {"complex": ComplexComponent, "real": RealComponent}
 # A full catalog is held in memory before it is printed, at several KB per
-# row; larger ones are refused.  Single-partition lookups are not limited.
+# row, and a duality report holds a line per partition of n; larger ones are
+# refused.  Single-partition lookups are not limited.
 MAX_CATALOG_ROWS = 1_000_000
 
 
@@ -38,12 +35,16 @@ def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None
     if n < 1 or k < 1 or n % k != 0:
         raise click.UsageError(f"k={k} must divide n={n}")
     if partition is not None and partition.n != n:
-        raise click.UsageError(f"partition {partition} sums to {partition.n}, not n={n}")
+        raise click.UsageError(f"partition {partition.run_length_str()} sums to {partition.n}, not n={n}")
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "1+1+2+2", "4,4,4,4" or run-length "2^2,4^1" syntax."""
-    parts: list[int] = []
+    """Parse "1+1+2+2", "4,4,4,4" or run-length "2^2,4^1" syntax.
+
+    Runs are kept as (part, multiplicity) pairs and never expanded, so a
+    huge multiplicity costs nothing before the sum is checked.
+    """
+    runs: Counter[int] = Counter()
     for token in text.replace("+", ",").split(","):
         token = token.strip()
         base, _, mult = token.partition("^")
@@ -54,10 +55,8 @@ def parse_partition(text: str) -> Partition:
             raise click.UsageError(f"malformed partition {text!r}") from None
         if j < 1 or m < 1:
             raise click.UsageError(f"malformed partition {text!r}")
-        parts.extend([j] * m)
-    if not parts:
-        raise click.UsageError(f"malformed partition {text!r}")
-    return Partition.from_parts(parts)
+        runs[j] += m
+    return Partition(sum(j * m for j, m in runs.items()), tuple(sorted(runs.items())))
 
 
 def _omega_str(entry, k: int) -> str:
@@ -149,8 +148,8 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
     if partition is not None:
         entries = tuple(partition_components(FORMS[form], partition, n, k))
         catalog = QuotientCatalog(n=n, k=k, form=form, entries=entries)
-    else:  # by name: perfbench counts the rows these two build
-        catalog = decompose_complex(n, k) if form == "complex" else decompose_real(n, k)
+    else:
+        catalog = complex_quotient.decompose(FORMS[form], n, k)
     if fmt == "json":
         click.echo(json.dumps(catalog.to_json_dict(), indent=2))
     else:
@@ -225,6 +224,10 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
     """Check Langlands duality for every divisor k of n."""
     if n < 1:
         raise click.UsageError("n must be positive")
+    if (count := partition_count(n)) > MAX_CATALOG_ROWS:
+        click.echo(f"Error: duality for n={n} compares all {count:,} partitions of {n}, more than "
+                   f"the {MAX_CATALOG_ROWS:,} a report may hold", err=True)
+        ctx.exit(2)
     reports = [duality_report(n, k) for k in divisors(n)]
     failed = any(not report.ok for report in reports)
     if fmt == "json":

@@ -183,32 +183,22 @@ def catalog_rows(n: int, k: int) -> int:
     return sum(totient(e) * partition_count(n // e) for e in divisors(k))
 
 
-def enumerate_omegas(mu: Partition, n: int, k: int) -> list[OmegaLabel]:
-    """All omega labels for the partition: h = gcd(g(mu), k) of them."""
-    return [s.omega for s in strata(mu, n, k)]
-
-
 def _singularity(inv: PartitionInvariants, d: int) -> CyclicSingularity:
+    """The cyclic singularity A^(c-b) / C_d of a partition with invariants inv.
+
+    The generator multiplies p_l coordinates by its l-th power; weights are
+    listed by increasing l and reduced mod d.
+    """
     if d < 1:
         raise ValueError("group order must be positive")
     weights = tuple(l % d for l, p_l in enumerate(inv.p, start=1) for _ in range(p_l))
     return CyclicSingularity(inv.c - inv.b, d, weights)
 
 
-def singularity_weights(mu: Partition, d: int) -> CyclicSingularity:
-    """The cyclic singularity A^(c-b) / C_d attached to mu.
-
-    The generator multiplies p_l(mu) coordinates by its l-th power; weights
-    are listed by increasing l and reduced mod d at construction.
-    """
-    return _singularity(invariants(mu), d)
-
-
 @dataclass(frozen=True)
-class ComplexComponent:
-    """One stratum of the complex extended quotient."""
-
-    form: ClassVar[str] = "complex"
+class Component:
+    """What a component carries in either form: its stratum's label, base
+    torus dimension, cyclic singularity and number of discrete points."""
 
     partition: Partition
     omega: OmegaLabel
@@ -217,8 +207,10 @@ class ComplexComponent:
     multiplicity: int
 
     @classmethod
-    def from_stratum(cls, s: Stratum) -> ComplexComponent:
-        return cls(s.partition, s.omega, s.torus_dim, _singularity(s.invariants, s.d), s.multiplicity)
+    def from_stratum(cls, s: Stratum, **fibre) -> Component:
+        """The component of the stratum ``s``; ``fibre`` holds the fields a
+        subclass adds."""
+        return cls(s.partition, s.omega, s.torus_dim, _singularity(s.invariants, s.d), s.multiplicity, **fibre)
 
     def to_dict(self) -> dict:
         return {
@@ -231,14 +223,12 @@ class ComplexComponent:
         }
 
 
-def complex_component(mu: Partition, omega: OmegaLabel, n: int, k: int) -> ComplexComponent:
-    """The stratum of the complex quotient labelled by (mu, omega)."""
-    return ComplexComponent.from_stratum(_stratum(mu, invariants(mu), omega, n, k))
+@dataclass(frozen=True)
+class ComplexComponent(Component):
+    """One stratum of the complex extended quotient: the torus times the
+    singularity."""
 
-
-def decompose_complex(n: int, k: int) -> QuotientCatalog:
-    """The full complex catalog for (n, k), in deterministic order."""
-    return decompose(ComplexComponent, n, k)
+    form: ClassVar[str] = "complex"
 
 
 def component_count_from_gcd(g: int, n: int, k: int) -> int:
@@ -249,12 +239,6 @@ def component_count_from_gcd(g: int, n: int, k: int) -> int:
     """
     a = math.gcd(math.gcd(g, n // g), math.gcd(k, n // k))
     return (g // a) * pillai(a)
-
-
-def component_count(mu: Partition, n: int, k: int) -> int:
-    """Number of components the partition mu contributes to the (n, k) quotient."""
-    _require_divides(k, n)
-    return component_count_from_gcd(invariants(mu).g, n, k)
 
 
 def canonical_singularity(s: CyclicSingularity) -> CyclicSingularity:

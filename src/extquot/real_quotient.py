@@ -21,20 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .complex_quotient import (
-    OmegaLabel,
-    QuotientCatalog,
-    Stratum,
-    _stratum,
-    decompose,
-    singularity_weights,
-)
+from .complex_quotient import Component, Stratum
 from .numtheory import two_adic_valuation
-from .partitions import Partition, invariants
+from .partitions import Partition
 
 
 @dataclass(frozen=True)
-class RealComponent:
+class RealComponent(Component):
     """One stratum of the real extended quotient.
 
     ``bundle_orientable`` is populated only in k = 1 catalogs, where the
@@ -43,12 +36,7 @@ class RealComponent:
 
     form: ClassVar[str] = "real"
 
-    partition: Partition
-    omega: OmegaLabel
-    torus_dim: int
     fiber_simplex_dims: tuple[int, ...]
-    cyclic_order: int
-    multiplicity: int
     join_counts: tuple[int, ...]
     action_orientation_preserving: bool
     bundle_orientable: bool | None = None
@@ -62,26 +50,22 @@ class RealComponent:
         exceeds that of d.
         """
         c, d, runs = s.invariants.c, s.d, s.partition.runs
-        return cls(
-            partition=s.partition,
-            omega=s.omega,
-            torus_dim=s.torus_dim,
+        return super().from_stratum(
+            s,
             fiber_simplex_dims=tuple(m - 1 for _, m in runs),
-            cyclic_order=d,
-            multiplicity=s.multiplicity,
             join_counts=tuple(m // d for _, m in runs),
             action_orientation_preserving=c % 2 == 1 or two_adic_valuation(c) > two_adic_valuation(d),
             bundle_orientable=bundle_orientable_k1(s.partition) if s.k == 1 else None,
         )
 
+    @property
+    def cyclic_order(self) -> int:
+        """The order d of the cyclic group acting on the fibres."""
+        return self.singularity.group_order
+
     def to_dict(self) -> dict:
         data = {
-            "partition": list(self.partition.parts),
-            "omega_exponent": self.omega.exponent,
-            "omega_order": self.omega.order,
-            "torus_dim": self.torus_dim,
-            "multiplicity": self.multiplicity,
-            "singularity": singularity_weights(self.partition, self.cyclic_order).to_dict(),
+            **super().to_dict(),
             "fiber_simplex_dims": list(self.fiber_simplex_dims),
             "join_counts": list(self.join_counts),
             "action_orientation_preserving": self.action_orientation_preserving,
@@ -89,11 +73,6 @@ class RealComponent:
         if self.bundle_orientable is not None:
             data["bundle_orientable"] = self.bundle_orientable
         return data
-
-
-def real_component(mu: Partition, omega: OmegaLabel, n: int, k: int) -> RealComponent:
-    """The stratum of the real quotient labelled by (mu, omega)."""
-    return RealComponent.from_stratum(_stratum(mu, invariants(mu), omega, n, k))
 
 
 def bundle_orientable_k1(mu: Partition) -> bool:
@@ -111,7 +90,3 @@ def bundle_orientable_k1(mu: Partition) -> bool:
     independent = any(mults_vec) and mults_vec != parts_vec
     return not independent
 
-
-def decompose_real(n: int, k: int) -> QuotientCatalog:
-    """The full real catalog for (n, k); ordering matches decompose_complex."""
-    return decompose(RealComponent, n, k)

@@ -24,12 +24,12 @@ from .complex_quotient import (
     ComplexComponent,
     canonical_singularity,
     component_count_from_gcd,
-    decompose_complex,
+    decompose,
     partition_components,
 )
 from .numtheory import divisor_sigma, divisors, pillai, pillai_via_totient
 from .partitions import Partition
-from .real_quotient import bundle_orientable_k1, decompose_real
+from .real_quotient import RealComponent, bundle_orientable_k1
 from .topology import betti, euler_characteristic, ktheory_ranks, top_betti
 
 TABLE_IDS = (
@@ -89,6 +89,15 @@ class DiffReport:
     table_id: str
     cells_checked: int = 0
     mismatches: list[Mismatch] = field(default_factory=list)
+
+    def check(self, location: str, expected, actual) -> bool:
+        """Count one compared cell; record a mismatch and return False when
+        the values differ."""
+        self.cells_checked += 1
+        if expected != actual:
+            self.mismatches.append(Mismatch(location, str(expected), str(actual)))
+            return False
+        return True
 
     @property
     def ok(self) -> bool:
@@ -183,15 +192,11 @@ def _verify_betti(table_id, rows, k) -> DiffReport:
         ranks = betti(n, k).ranks if n >= 1 and n % k == 0 else ()
         degree = 0
         while f"b_{degree}" in row:
-            expected = row[f"b_{degree}"]
             actual = str(ranks[degree]) if degree < len(ranks) else ""
-            report.cells_checked += 1
-            if expected != actual:
-                report.mismatches.append(Mismatch(f"n={n} b_{degree}", expected, actual))
+            report.check(f"n={n} b_{degree}", row[f"b_{degree}"], actual)
             degree += 1
         for degree in range(degree, len(ranks)):  # degrees beyond the last column
-            report.cells_checked += 1
-            report.mismatches.append(Mismatch(f"n={n} b_{degree}", "", str(ranks[degree])))
+            report.check(f"n={n} b_{degree}", "", str(ranks[degree]))
     return report
 
 
@@ -201,15 +206,12 @@ def _verify_ktheory(table_id, rows) -> DiffReport:
     for row in rows:
         n = int(row["n"])
         for k in columns:
-            expected = row[str(k)]
             if n % k == 0:
                 ranks = ktheory_ranks(n, k)
                 actual = f"{ranks.k0}/{ranks.k1}"
             else:
                 actual = ""
-            report.cells_checked += 1
-            if expected != actual:
-                report.mismatches.append(Mismatch(f"n={n} k={k}", expected, actual))
+            report.check(f"n={n} k={k}", row[str(k)], actual)
     return report
 
 
@@ -234,7 +236,7 @@ def _verify_catalog(table_id, rows) -> DiffReport:
         groups.setdefault((int(row["n"]), int(row["k"])), []).append(row)
     for (n, k), expected_rows in groups.items():
         if table_id == "sl6_catalogs":
-            entries = list(decompose_complex(n, k).entries)
+            entries = list(decompose(ComplexComponent, n, k).entries)
         else:
             # The worked cases list a few partitions; only those are computed.
             entries = []
@@ -243,30 +245,19 @@ def _verify_catalog(table_id, rows) -> DiffReport:
                 entries.extend(partition_components(ComplexComponent, mu, n, k))
             entries.sort(key=lambda e: (str(e.partition), e.omega.exponent))
             expected_rows = sorted(expected_rows, key=lambda r: (r["partition"], int(r["omega_exponent"])))
-        report.cells_checked += 1
-        if len(entries) != len(expected_rows):
-            report.mismatches.append(
-                Mismatch(f"n={n} k={k} row count", str(len(expected_rows)), str(len(entries)))
-            )
+        if not report.check(f"n={n} k={k} row count", len(expected_rows), len(entries)):
             continue
         for idx, (row, entry) in enumerate(zip(expected_rows, entries)):
             actual = _catalog_fields(entry)
             for name in CATALOG_COLUMNS:
-                report.cells_checked += 1
-                if row[name] != actual[name]:
-                    report.mismatches.append(
-                        Mismatch(f"n={n} k={k} row {idx} {name}", row[name], actual[name])
-                    )
+                report.check(f"n={n} k={k} row {idx} {name}", row[name], actual[name])
     return report
 
 
 def _verify_su6(table_id, rows) -> DiffReport:
     report = DiffReport(table_id)
-    catalog = decompose_real(6, 1)
-    entries = list(catalog.entries)
-    report.cells_checked += 1
-    if len(entries) != len(rows):
-        report.mismatches.append(Mismatch("row count", str(len(rows)), str(len(entries))))
+    entries = list(decompose(RealComponent, 6, 1).entries)
+    if not report.check("row count", len(rows), len(entries)):
         return report
     for idx, (row, entry) in enumerate(zip(rows, entries)):
         mu = entry.partition
@@ -279,9 +270,7 @@ def _verify_su6(table_id, rows) -> DiffReport:
             "orientable": "Yes" if bundle_orientable_k1(mu) else "No",
         }
         for name in SU6_COLUMNS:
-            report.cells_checked += 1
-            if row[name] != actual[name]:
-                report.mismatches.append(Mismatch(f"row {idx} {name}", row[name], actual[name]))
+            report.check(f"row {idx} {name}", row[name], actual[name])
     return report
 
 
@@ -305,12 +294,7 @@ def property_oracle_equivalence(max_n: int = 40) -> DiffReport:
                 brute = sum(
                     math.gcd(g // (h // math.gcd(h, e)), n // k) for e in range(h)
                 )
-                closed = component_count_from_gcd(g, n, k)
-                report.cells_checked += 1
-                if closed != brute:
-                    report.mismatches.append(
-                        Mismatch(f"n={n} k={k} g={g}", str(brute), str(closed))
-                    )
+                report.check(f"n={n} k={k} g={g}", brute, component_count_from_gcd(g, n, k))
     return report
 
 
@@ -318,10 +302,7 @@ def property_pillai(max_a: int = 10000) -> DiffReport:
     """pillai(a) == pillai_via_totient(a) for a up to max_a."""
     report = DiffReport("pillai_equivalence")
     for a in range(1, max_a + 1):
-        report.cells_checked += 1
-        lhs, rhs = pillai(a), pillai_via_totient(a)
-        if lhs != rhs:
-            report.mismatches.append(Mismatch(f"a={a}", str(lhs), str(rhs)))
+        report.check(f"a={a}", pillai(a), pillai_via_totient(a))
     return report
 
 
@@ -330,19 +311,10 @@ def property_duality(max_n: int = 30) -> DiffReport:
     report = DiffReport("duality")
     for n in range(1, max_n + 1):
         for k in divisors(n):
-            report.cells_checked += 1
-            lhs = betti(n, k).ranks
-            rhs = betti(n, n // k).ranks
-            if lhs != rhs:
-                report.mismatches.append(Mismatch(f"betti n={n} k={k}", str(rhs), str(lhs)))
+            report.check(f"betti n={n} k={k}", betti(n, n // k).ranks, betti(n, k).ranks)
             for g in divisors(n):
-                report.cells_checked += 1
-                count = component_count_from_gcd(g, n, k)
-                count_dual = component_count_from_gcd(g, n, n // k)
-                if count != count_dual:
-                    report.mismatches.append(
-                        Mismatch(f"count n={n} k={k} g={g}", str(count_dual), str(count))
-                    )
+                report.check(f"count n={n} k={k} g={g}", component_count_from_gcd(g, n, n // k),
+                             component_count_from_gcd(g, n, k))
     return report
 
 
@@ -350,11 +322,7 @@ def property_euler_divisor(max_n: int = 45) -> DiffReport:
     """Euler characteristic at k = 1 equals the divisor sum."""
     report = DiffReport("euler_divisor_sum")
     for n in range(1, max_n + 1):
-        report.cells_checked += 1
-        chi = euler_characteristic(n, 1)
-        sigma = divisor_sigma(n)
-        if chi != sigma:
-            report.mismatches.append(Mismatch(f"n={n}", str(sigma), str(chi)))
+        report.check(f"n={n}", divisor_sigma(n), euler_characteristic(n, 1))
     return report
 
 
@@ -362,12 +330,8 @@ def property_top_betti(max_n: int = 45) -> DiffReport:
     """Closed-form top degree and rank agree with the Betti vector's last entry."""
     report = DiffReport("top_betti")
     for n in range(1, max_n + 1):
-        report.cells_checked += 1
         vector = betti(n, 1)
-        expected = (vector.top_degree, vector.ranks[-1])
-        actual = top_betti(n)
-        if expected != actual:
-            report.mismatches.append(Mismatch(f"n={n}", str(expected), str(actual)))
+        report.check(f"n={n}", (vector.top_degree, vector.ranks[-1]), top_betti(n))
     return report
 
 

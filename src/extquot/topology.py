@@ -4,9 +4,7 @@ Every component of the quotient deformation-retracts onto its base torus, so
 the Betti vector for (n, k) is a binomial fold: degree j picks up
 C(b(mu) - 1, j) from each component of a partition with b distinct parts.
 The fold needs only how many partitions share each (gcd of parts,
-distinct-part count) class, which is counted without enumerating partitions;
-the catalog-based computation exists as a cross-check and gives identical
-answers for the real and complex catalogs.
+distinct-part count) class, which is counted without enumerating partitions.
 
 K-theory ranks are the even/odd Betti sums (Chern character over C), and the
 Euler characteristic for k = 1 equals the divisor sum of n.
@@ -27,7 +25,6 @@ from typing import Iterable, Sequence
 
 from .complex_quotient import (
     ComplexComponent,
-    QuotientCatalog,
     canonical_singularity,
     component_count_from_gcd,
     strata,
@@ -71,23 +68,6 @@ def betti(n: int, k: int) -> BettiVector:
     return BettiVector(n=n, k=k, ranks=ranks)
 
 
-def betti_from_catalog(catalog: QuotientCatalog) -> BettiVector:
-    """Betti vector recomputed from a full catalog (complex or real).
-
-    Cross-check path for :func:`betti`; both forms give the same answer since
-    real and complex components share base dimension and multiplicity.
-    """
-    by_dim: Counter[int] = Counter()
-    for entry in catalog.entries:
-        by_dim[entry.torus_dim] += entry.multiplicity
-    top = max(by_dim)
-    ranks = tuple(
-        sum(total * math.comb(dim, j) for dim, total in by_dim.items())
-        for j in range(top + 1)
-    )
-    return BettiVector(n=catalog.n, k=catalog.k, ranks=ranks)
-
-
 def ktheory_ranks(n: int, k: int) -> KTheoryRanks:
     """(K0, K1) ranks: sums of the even- and odd-degree Betti numbers."""
     vector = betti(n, k)
@@ -124,11 +104,13 @@ def top_betti(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PartitionDuality:
-    """Per-partition comparison between the (n, k) and (n, n/k) quotients."""
+    """Per-partition comparison between the (n, k) and (n, n/k) quotients:
+    ``components`` and ``components_dual`` are the partition's number of
+    components on each side."""
 
     partition: Partition
-    component_count: int
-    component_count_dual: int
+    components: int
+    components_dual: int
     torus_dim: int
     torus_counts_equal: bool
     descriptor_singularities_equal: bool
@@ -150,7 +132,7 @@ class DualityReport:
 
     @property
     def counts_equal(self) -> bool:
-        return all(line.component_count == line.component_count_dual for line in self.lines)
+        return all(line.components == line.components_dual for line in self.lines)
 
     @property
     def ok(self) -> bool:

@@ -4,8 +4,9 @@ These are deliberately written independently of the library code they check:
 cofactor expansion instead of Bareiss elimination, a sieve instead of trial
 division, direct power-series multiplication instead of the convolution
 formula, the defining gcd sum instead of Pillai's multiplicative formula, a
-walk over every partition instead of the generating-function class counts,
-and a duality report that builds and compares both sides of every partition
+walk over every partition instead of the generating-function class counts, a
+fold over a full catalog instead of the class-count Betti fold, and a
+duality report that builds and compares both sides of every partition
 instead of sharing one comparison per invariant class.
 """
 
@@ -24,10 +25,10 @@ from extquot.complex_quotient import (
     variety_normal_form,
 )
 from extquot.partitions import _descending_partitions, enumerate_partitions
-from extquot.topology import DualityReport, PartitionDuality, betti
+from extquot.topology import BettiVector, DualityReport, PartitionDuality, betti
 
 
-def cofactor_det(rows) -> int:
+def plain_cofactor_det(rows) -> int:
     """Determinant by recursive cofactor expansion along the first row."""
     n = len(rows)
     if n == 1:
@@ -35,9 +36,30 @@ def cofactor_det(rows) -> int:
     total = 0
     for j in range(n):
         minor = [tuple(row[:j]) + tuple(row[j + 1 :]) for row in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
+        term = rows[0][j] * plain_cofactor_det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def cofactor_det(rows) -> int:
+    """The same cofactor expansion along the first row, each minor evaluated
+    once: the minor on rows i.. and the columns left in a bitmask."""
+    n = len(rows)
+    minors: dict[tuple[int, int], int] = {}
+
+    def minor(i: int, columns: int) -> int:
+        if i == n:
+            return 1
+        if (i, columns) not in minors:
+            total, sign = 0, 1
+            for j in range(n):
+                if columns >> j & 1:
+                    total += sign * rows[i][j] * minor(i + 1, columns & ~(1 << j))
+                    sign = -sign
+            minors[i, columns] = total
+        return minors[i, columns]
+
+    return minor(0, (1 << n) - 1)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -113,8 +135,8 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
         lines.append(
             PartitionDuality(
                 partition=mu,
-                component_count=count,
-                component_count_dual=count_dual,
+                components=count,
+                components_dual=count_dual,
                 torus_dim=side[0].torus_dim,
                 torus_counts_equal=torus_dims == torus_dims_dual,
                 descriptor_singularities_equal=descriptors == descriptors_dual,
@@ -129,3 +151,21 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
         betti_ranks_dual=betti(n, k_dual).ranks,
         lines=tuple(lines),
     )
+
+
+def betti_from_catalog(catalog) -> BettiVector:
+    """Betti vector recomputed from a full catalog (complex or real).
+
+    Cross-check for :func:`extquot.topology.betti`; both forms give the same
+    answer since real and complex components share base dimension and
+    multiplicity.
+    """
+    by_dim: Counter[int] = Counter()
+    for entry in catalog.entries:
+        by_dim[entry.torus_dim] += entry.multiplicity
+    top = max(by_dim)
+    ranks = tuple(
+        sum(total * math.comb(dim, j) for dim, total in by_dim.items())
+        for j in range(top + 1)
+    )
+    return BettiVector(n=catalog.n, k=catalog.k, ranks=ranks)

@@ -12,14 +12,15 @@ import time
 from conftest import cofactor_det, iter_gcd_distinct, two_kind_series_coefficients
 from extquot import reference, topology
 from extquot.complex_quotient import (
+    ComplexComponent,
     canonical_singularity,
-    complex_component,
     component_count_from_gcd,
-    enumerate_omegas,
+    decompose,
+    partition_components,
 )
 from extquot.numtheory import divisors, unimodular_completion
 from extquot.partitions import Partition, partitions_pairs
-from extquot.real_quotient import bundle_orientable_k1, decompose_real
+from extquot.real_quotient import RealComponent, bundle_orientable_k1
 
 
 def test_criterion_1_betti_table_k1():
@@ -64,18 +65,14 @@ def test_criterion_4_complex_catalogs():
 
     mu = Partition.from_parts([4, 4, 4, 4])
     counts = {
-        k: sum(
-            complex_component(mu, om, 16, k).multiplicity
-            for om in enumerate_omegas(mu, 16, k)
-        )
+        k: sum(comp.multiplicity for comp in partition_components(ComplexComponent, mu, 16, k))
         for k in (4, 8)
     }
     assert counts == {4: 8, 8: 6}
 
     def classes(k):
         tally = {}
-        for om in enumerate_omegas(mu, 16, k):
-            comp = complex_component(mu, om, 16, k)
+        for comp in partition_components(ComplexComponent, mu, 16, k):
             key = canonical_singularity(comp.singularity)
             tally[key] = tally.get(key, 0) + comp.multiplicity
         return {(c.group_order, c.weights): v for c, v in tally.items()}
@@ -90,7 +87,7 @@ def test_criterion_5_real_orientability_table():
     the orientability column with exactly one non-orientable bundle."""
     report = reference.verify("su6_orientability")
     assert report.ok, report.mismatches
-    catalog = decompose_real(6, 1)
+    catalog = decompose(RealComponent, 6, 1)
     flags = [(str(e.partition), bundle_orientable_k1(e.partition)) for e in catalog.entries]
     non_orientable = [text for text, orientable in flags if not orientable]
     assert non_orientable == ["1+1+2+2"]

@@ -8,8 +8,8 @@ from click.testing import CliRunner
 
 from extquot import cli, reference
 from extquot.cli import main, parse_partition
-from extquot.complex_quotient import decompose_complex
-from extquot.partitions import Partition
+from extquot.complex_quotient import ComplexComponent, decompose
+from extquot.partitions import Partition, partition_count
 
 
 @pytest.fixture()
@@ -31,6 +31,18 @@ def test_parse_partition_rejects_garbage():
     for text in ("", "1++2", "a+b", "0", "2^0"):
         with pytest.raises(click.UsageError):
             parse_partition(text)
+
+
+def test_run_length_partition_is_not_expanded(runner):
+    """A multiplicity is summed, never expanded into parts: a partition of
+    10^12 ones is refused at once, and the message names it in run-length
+    form."""
+    result = runner.invoke(main, ["decompose", "--n", "5", "--partition", "1^1000000000000"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert len(result.stderr_bytes) < 200
+    errors = [line for line in result.stderr.splitlines() if line.startswith("Error")]
+    assert errors == ["Error: partition 1^1000000000000 sums to 1000000000000, not n=5"]
 
 
 def test_betti_ktheory_euler_text(runner):
@@ -304,7 +316,7 @@ def no_enumeration(monkeypatch):
 ])
 def test_lookups_build_no_catalog(runner, no_enumeration, args):
     with pytest.raises(AssertionError, match="enumerated"):
-        decompose_complex(6, 1)
+        decompose(ComplexComponent, 6, 1)
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
 
@@ -323,10 +335,29 @@ def test_oversized_catalog_is_refused_without_enumeration(runner, no_enumeration
 
 
 def test_catalog_row_limit_is_inclusive(runner, monkeypatch):
-    rows = len(decompose_complex(6, 2).entries)
+    rows = len(decompose(ComplexComponent, 6, 2).entries)
     monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", rows)
     assert runner.invoke(main, ["decompose", "--n", "6", "--k", "2"]).exit_code == 0
     monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", rows - 1)
     result = runner.invoke(main, ["decompose", "--n", "6", "--k", "2"])
     assert result.exit_code == 2
     assert f"{rows} rows" in result.stderr
+
+
+@pytest.mark.parametrize("n, count", [(61, "1,121,505"), (100, "190,569,292")])
+def test_oversized_duality_is_refused_without_enumeration(runner, no_enumeration, n, count):
+    result = runner.invoke(main, ["duality", "--n", str(n)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    message = result.stderr.strip()
+    assert "\n" not in message
+    assert f"{count} partitions" in message
+
+
+def test_duality_partition_limit_is_inclusive(runner, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", partition_count(12))
+    assert runner.invoke(main, ["duality", "--n", "12"]).exit_code == 0
+    monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", partition_count(12) - 1)
+    result = runner.invoke(main, ["duality", "--n", "12"])
+    assert result.exit_code == 2
+    assert "77 partitions" in result.stderr

@@ -6,16 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extquot.complex_quotient import (
+    ComplexComponent,
     CyclicSingularity,
     OmegaLabel,
+    _singularity,
     canonical_singularity,
     catalog_rows,
-    complex_component,
-    component_count,
     component_count_from_gcd,
-    decompose_complex,
-    enumerate_omegas,
-    singularity_weights,
+    decompose,
+    partition_components,
+    strata,
     variety_normal_form,
 )
 from conftest import iter_gcd_distinct
@@ -27,24 +27,24 @@ MU_4444 = Partition.from_parts([4, 4, 4, 4])
 
 
 def test_enumerate_omegas_orders():
-    orders = sorted(om.order for om in enumerate_omegas(MU_4444, 16, 4))
+    orders = sorted(s.omega.order for s in strata(MU_4444, 16, 4))
     assert orders == [1, 2, 4, 4]
-    orders = sorted(om.order for om in enumerate_omegas(Partition.from_parts([3, 3]), 6, 6))
+    orders = sorted(s.omega.order for s in strata(Partition.from_parts([3, 3]), 6, 6))
     assert orders == [1, 3, 3]
-    assert [om.order for om in enumerate_omegas(MU_2444, 16, 1)] == [1]
+    assert [s.omega.order for s in strata(MU_2444, 16, 1)] == [1]
 
 
 def test_enumerate_omegas_count_is_h():
     for n, k in ((12, 4), (16, 8), (18, 6)):
         for mu in enumerate_partitions(n):
-            labels = enumerate_omegas(mu, n, k)
+            labels = [s.omega for s in strata(mu, n, k)]
             assert len(labels) == math.gcd(invariants(mu).g, k)
             assert labels[0].order == 1
 
 
 def test_enumerate_omegas_requires_k_dividing_n():
     with pytest.raises(ValueError):
-        enumerate_omegas(MU_2444, 16, 5)
+        strata(MU_2444, 16, 5)
 
 
 def test_omega_label_validation():
@@ -55,43 +55,41 @@ def test_omega_label_validation():
 
 
 def test_singularity_weights_examples():
-    s = singularity_weights(MU_2444, 2)
+    s = _singularity(invariants(MU_2444), 2)
     assert (s.ambient_dim, s.group_order, s.weights) == (4, 2, (1, 1, 0, 1))
 
-    s = singularity_weights(Partition.from_parts([1] * 6), 6)
+    s = _singularity(invariants(Partition.from_parts([1] * 6)), 6)
     assert s.weights == (1, 2, 3, 4, 5)
 
-    s = singularity_weights(MU_2444, 1)
+    s = _singularity(invariants(MU_2444), 1)
     assert s.group_order == 1 and s.weights == (0, 0, 0, 0)
 
 
 def test_complex_component_examples():
     # omega of order 2 for 4+4+4+4 at (n, k) = (16, 8)
-    omega = OmegaLabel(4, 2)
-    comp = complex_component(MU_4444, omega, 16, 8)
+    comp = partition_components(ComplexComponent, MU_4444, 16, 8)[2]
+    assert comp.omega == OmegaLabel(4, 2)
     assert comp.multiplicity == 2
     assert comp.singularity == CyclicSingularity(3, 4, (1, 2, 3))
 
-    comp = complex_component(
-        Partition.from_parts([1, 1, 2, 2]), OmegaLabel(1, 0), 6, 2
-    )
+    comp = partition_components(ComplexComponent, Partition.from_parts([1, 1, 2, 2]), 6, 2)[0]
     assert comp.torus_dim == 1
     assert comp.multiplicity == 1
     assert comp.singularity == CyclicSingularity(2, 2, (1, 1))
 
     # k = 1: smooth, multiplicity gcd(g, n)
     for mu in enumerate_partitions(9):
-        comp = complex_component(mu, OmegaLabel(1, 0), 9, 1)
+        comp = partition_components(ComplexComponent, mu, 9, 1)[0]
         assert comp.singularity.group_order == 1
         assert comp.multiplicity == math.gcd(invariants(mu).g, 9)
 
 
 def test_component_count_examples():
-    assert component_count(MU_2444, 16, 2) == 3
-    assert component_count(MU_4444, 16, 4) == 8
-    assert component_count(MU_4444, 16, 8) == 6
+    assert component_count_from_gcd(invariants(MU_2444).g, 16, 2) == 3
+    assert component_count_from_gcd(invariants(MU_4444).g, 16, 4) == 8
+    assert component_count_from_gcd(invariants(MU_4444).g, 16, 8) == 6
     for mu in enumerate_partitions(8):
-        assert component_count(mu, 8, 8) == invariants(mu).g
+        assert component_count_from_gcd(invariants(mu).g, 8, 8) == invariants(mu).g
 
 
 def test_component_count_equals_omega_sum():
@@ -99,11 +97,8 @@ def test_component_count_equals_omega_sum():
     for n in range(1, 25):
         for k in divisors(n):
             for mu in enumerate_partitions(n):
-                total = sum(
-                    complex_component(mu, om, n, k).multiplicity
-                    for om in enumerate_omegas(mu, n, k)
-                )
-                assert component_count(mu, n, k) == total
+                total = sum(comp.multiplicity for comp in partition_components(ComplexComponent, mu, n, k))
+                assert component_count_from_gcd(invariants(mu).g, n, k) == total
 
 
 def test_component_count_duality_symmetry():
@@ -114,8 +109,8 @@ def test_component_count_duality_symmetry():
 
 
 def test_decompose_complex_totals():
-    assert decompose_complex(6, 1).total_components() == 20
-    single = decompose_complex(1, 1)
+    assert decompose(ComplexComponent, 6, 1).total_components() == 20
+    single = decompose(ComplexComponent, 1, 1)
     assert len(single.entries) == 1
     entry = single.entries[0]
     assert entry.torus_dim == 0 and entry.multiplicity == 1
@@ -125,7 +120,7 @@ def test_decompose_complex_totals():
 def test_catalog_rows_counts_entries_without_enumeration():
     for n in range(1, 21):
         for k in divisors(n):
-            assert catalog_rows(n, k) == len(decompose_complex(n, k).entries)
+            assert catalog_rows(n, k) == len(decompose(ComplexComponent, n, k).entries)
     for n in range(21, 41):
         for k in divisors(n):
             assert catalog_rows(n, k) == sum(math.gcd(g, k) for g, _ in iter_gcd_distinct(n))
@@ -136,7 +131,7 @@ def test_catalog_rows_counts_entries_without_enumeration():
 
 
 def test_decompose_complex_ordering():
-    catalog = decompose_complex(6, 6)
+    catalog = decompose(ComplexComponent, 6, 6)
     keys = [(e.partition.parts, e.omega.exponent) for e in catalog.entries]
     partitions_order = [mu.parts for mu in enumerate_partitions(6)]
     expected = []
@@ -150,12 +145,12 @@ def test_decompose_complex_ordering():
 
 def test_decompose_complex_rejects_bad_k():
     with pytest.raises(ValueError):
-        decompose_complex(6, 4)
+        decompose(ComplexComponent, 6, 4)
 
 
 def test_smooth_when_k_is_one():
     for n in (2, 5, 9, 12):
-        for entry in decompose_complex(n, 1).entries:
+        for entry in decompose(ComplexComponent, n, 1).entries:
             assert entry.singularity.group_order == 1
 
 
@@ -175,8 +170,7 @@ def test_canonical_singularity_is_unit_invariant():
 def test_sl16_k8_component_isomorphism_classes():
     """4+4+4+4 at k=8 gives six components in two isomorphism classes."""
     classes = Counter()
-    for om in enumerate_omegas(MU_4444, 16, 8):
-        comp = complex_component(MU_4444, om, 16, 8)
+    for comp in partition_components(ComplexComponent, MU_4444, 16, 8):
         classes[canonical_singularity(comp.singularity)] += comp.multiplicity
     assert classes == Counter({
         CyclicSingularity(3, 4, (1, 2, 3)): 4,
@@ -247,8 +241,7 @@ def test_sl16_k4_2444_matches_k8_varieties():
 
     def variety_multiset(k):
         tally = Counter()
-        for om in enumerate_omegas(mu, 16, k):
-            comp = complex_component(mu, om, 16, k)
+        for comp in partition_components(ComplexComponent, mu, 16, k):
             tally[(comp.torus_dim, variety_normal_form(comp.singularity))] += comp.multiplicity
         return tally
 
@@ -257,7 +250,7 @@ def test_sl16_k4_2444_matches_k8_varieties():
 
 
 def test_catalog_json_schema():
-    data = decompose_complex(6, 2).to_json_dict()
+    data = decompose(ComplexComponent, 6, 2).to_json_dict()
     assert set(data) == {"n", "k", "form", "entries"}
     assert data["form"] == "complex"
     entry = data["entries"][0]
@@ -273,7 +266,7 @@ def test_weights_fill_the_ambient_space():
         for mu in enumerate_partitions(n):
             inv = invariants(mu)
             for d in (1, 2, inv.m):
-                s = singularity_weights(mu, d)
+                s = _singularity(inv, d)
                 assert len(s.weights) == inv.c - inv.b
 
 
@@ -283,5 +276,5 @@ def test_weight_multiplicities_follow_p_vector(parts, d):
     mu = Partition.from_parts(parts)
     inv = invariants(mu)
     raw = [l for l, p_l in enumerate(inv.p, start=1) for _ in range(p_l)]
-    s = singularity_weights(mu, d)
+    s = _singularity(inv, d)
     assert s.weights == tuple(l % d for l in raw)

@@ -3,7 +3,9 @@
 Each file under ``tests/golden/`` is the stdout of one command as the CLI
 printed it before its catalog engine and table writers were merged, or, for
 ``duality --n 30`` and ``--n 36``, before duality reports were shared per
-invariant class; n = 36 has the self-dual divisor k = 6.  They are
+invariant class; n = 36 has the self-dual divisor k = 6.  ``verify all``
+was captured before the verifier counted its cells through one check, and
+pins every table's cell count.  They are
 regression snapshots, not reference data: the transcribed ground truth lives
 in ``src/extquot/data``.  Replace a snapshot only with a change that means to
 alter that output.
@@ -46,6 +48,7 @@ def _golden_commands() -> dict[str, list[str]]:
     commands["duality_n16.txt"] = ["duality", "--n", "16"]
     commands["duality_n30.json"] = ["duality", "--n", "30", "--format", "json"]
     commands["duality_n36.txt"] = ["duality", "--n", "36"]
+    commands["verify_all.json"] = ["verify", "all", "--format", "json"]
     return commands
 
 

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, pillai_gcd_sum, primes_up_to
+from conftest import cofactor_det, pillai_gcd_sum, plain_cofactor_det, primes_up_to
 from extquot.numtheory import (
     UnimodularMatrix,
     det_exact,
@@ -149,3 +150,15 @@ def test_unimodular_matrix_rejects_wrong_determinant():
 @given(st.lists(st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4), min_size=4, max_size=4))
 def test_det_exact_matches_cofactor_expansion(rows):
     assert det_exact(rows) == cofactor_det(rows)
+
+
+def test_memoized_cofactor_det_matches_plain_expansion():
+    """The oracle that memoizes minors against the plain recursion it
+    replaces, on square matrices up to 6 x 6 with entries within +-50."""
+    rng = random.Random(6)
+    for size in range(1, 7):
+        for _ in range(40):
+            rows = [[rng.randint(-50, 50) for _ in range(size)] for _ in range(size)]
+            assert cofactor_det(rows) == plain_cofactor_det(rows)
+        singular = [[1] * size for _ in range(size)]
+        assert cofactor_det(singular) == plain_cofactor_det(singular)

@@ -1,27 +1,28 @@
 import math
+import sys
 
 import pytest
 
-from extquot.complex_quotient import OmegaLabel, decompose_complex
+from conftest import betti_from_catalog
+from extquot.complex_quotient import ComplexComponent, decompose, partition_components
 from extquot.numtheory import divisors
-from extquot.partitions import Partition, invariants
-from extquot.real_quotient import bundle_orientable_k1, decompose_real, real_component
-from extquot.topology import betti_from_catalog
+from extquot.partitions import Partition, invariants, partition_count
+from extquot.real_quotient import RealComponent, bundle_orientable_k1
 
 
 def test_real_component_examples():
-    comp = real_component(Partition.from_parts([2, 2, 2]), OmegaLabel(2, 0), 6, 6)
+    comp = partition_components(RealComponent, Partition.from_parts([2, 2, 2]), 6, 6)[0]
     assert comp.cyclic_order == 3
     assert comp.fiber_simplex_dims == (2,)
     assert comp.join_counts == (1,)
     assert comp.action_orientation_preserving  # c = 3 is odd
 
-    comp = real_component(Partition.from_parts([1] * 6), OmegaLabel(1, 0), 6, 1)
+    comp = partition_components(RealComponent, Partition.from_parts([1] * 6), 6, 1)[0]
     assert comp.cyclic_order == 1
     assert comp.fiber_simplex_dims == (5,)
     assert comp.action_orientation_preserving
 
-    comp = real_component(Partition.from_parts([4, 4, 4, 4]), OmegaLabel(4, 0), 16, 4)
+    comp = partition_components(RealComponent, Partition.from_parts([4, 4, 4, 4]), 16, 4)[0]
     assert comp.cyclic_order == 4
     # c = 4 and d = 4 have equal 2-adic valuations: orientation is reversed.
     assert not comp.action_orientation_preserving
@@ -34,17 +35,17 @@ def test_bundle_orientability_examples():
 
 
 def test_su6_table():
-    catalog = decompose_real(6, 1)
+    catalog = decompose(RealComponent, 6, 1)
     assert [e.multiplicity for e in catalog.entries] == [6, 1, 2, 1, 3, 1, 1, 2, 1, 1, 1]
     non_orientable = [str(e.partition) for e in catalog.entries if not e.bundle_orientable]
     assert non_orientable == ["1+1+2+2"]
 
 
 def test_decompose_real_small_cases():
-    assert decompose_real(2, 1).total_components() == 3
-    assert decompose_real(1, 1).total_components() == 1
+    assert decompose(RealComponent, 2, 1).total_components() == 3
+    assert decompose(RealComponent, 1, 1).total_components() == 1
     with pytest.raises(ValueError):
-        decompose_real(6, 5)
+        decompose(RealComponent, 6, 5)
 
 
 def test_real_and_complex_catalogs_agree():
@@ -52,8 +53,8 @@ def test_real_and_complex_catalogs_agree():
     hence identical Betti vectors from either catalog."""
     for n in range(1, 13):
         for k in divisors(n):
-            real = decompose_real(n, k)
-            cplx = decompose_complex(n, k)
+            real = decompose(RealComponent, n, k)
+            cplx = decompose(ComplexComponent, n, k)
             assert len(real.entries) == len(cplx.entries)
             for r, c in zip(real.entries, cplx.entries):
                 assert r.partition == c.partition
@@ -61,13 +62,14 @@ def test_real_and_complex_catalogs_agree():
                 assert r.torus_dim == c.torus_dim
                 assert r.multiplicity == c.multiplicity
                 assert r.cyclic_order == c.singularity.group_order
+                assert r.singularity == c.singularity
             assert betti_from_catalog(real) == betti_from_catalog(cplx)
 
 
 def test_fiber_descriptor_consistency():
     for n in range(1, 17):
         for k in divisors(n):
-            for entry in decompose_real(n, k).entries:
+            for entry in decompose(RealComponent, n, k).entries:
                 inv = invariants(entry.partition)
                 d = entry.cyclic_order
                 assert sum(entry.fiber_simplex_dims) == inv.c - inv.b
@@ -77,7 +79,7 @@ def test_fiber_descriptor_consistency():
 
 def test_trivial_action_preserves_orientation():
     for n in range(1, 15):
-        for entry in decompose_real(n, 1).entries:
+        for entry in decompose(RealComponent, n, 1).entries:
             assert entry.cyclic_order == 1
             assert entry.action_orientation_preserving
 
@@ -86,7 +88,7 @@ def test_orientation_criterion_against_direct_parity():
     """The 2-adic criterion agrees with the parity of c - c/d."""
     for n in range(1, 19):
         for k in divisors(n):
-            for entry in decompose_real(n, k).entries:
+            for entry in decompose(RealComponent, n, k).entries:
                 inv = invariants(entry.partition)
                 d = entry.cyclic_order
                 direct = (inv.c - inv.c // d) % 2 == 0
@@ -94,14 +96,14 @@ def test_orientation_criterion_against_direct_parity():
 
 
 def test_real_json_fields():
-    data = decompose_real(6, 1).to_json_dict()
+    data = decompose(RealComponent, 6, 1).to_json_dict()
     entry = data["entries"][0]
     assert set(entry) == {
         "partition", "omega_exponent", "omega_order", "torus_dim", "multiplicity",
         "singularity", "fiber_simplex_dims", "join_counts",
         "action_orientation_preserving", "bundle_orientable",
     }
-    data = decompose_real(6, 2).to_json_dict()
+    data = decompose(RealComponent, 6, 2).to_json_dict()
     assert "bundle_orientable" not in data["entries"][0]
 
 
@@ -116,3 +118,21 @@ def test_orientability_vectors_match_table_columns():
         g = math.gcd(*(j for j, _ in mu.runs))
         assert tuple(j // g for j, _ in mu.runs) == jg
         assert tuple(m - 1 for _, m in mu.runs) == m1
+
+
+def test_real_rows_classify_each_partition_once(monkeypatch):
+    """Building the real catalog and writing every row computes the
+    invariants of each partition once: the rows carry their stratum's
+    singularity instead of deriving it again."""
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return invariants(mu)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("extquot") and getattr(module, "invariants", None) is invariants:
+            monkeypatch.setattr(module, "invariants", counted)
+    for entry in decompose(RealComponent, 12, 1).entries:
+        entry.to_dict()
+    assert len(calls) == partition_count(12) == 77

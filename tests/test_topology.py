@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import duality_report_oracle, enumerated_class_counts
+from conftest import betti_from_catalog, duality_report_oracle, enumerated_class_counts
 from extquot import reference
-from extquot.complex_quotient import component_count_from_gcd, decompose_complex
+from extquot.complex_quotient import ComplexComponent, component_count_from_gcd, decompose
 from extquot.numtheory import divisor_sigma, divisors
 from extquot.partitions import partitions_pairs
-from extquot.real_quotient import decompose_real
+from extquot.real_quotient import RealComponent
 from extquot.topology import (
     betti,
-    betti_from_catalog,
     betti_grid,
     betti_table,
     duality_report,
@@ -91,8 +90,8 @@ def test_betti_agrees_with_catalog_paths():
     for n in range(1, 31):
         for k in divisors(n):
             streamed = betti(n, k)
-            cplx = decompose_complex(n, k)
-            real = decompose_real(n, k)
+            cplx = decompose(ComplexComponent, n, k)
+            real = decompose(RealComponent, n, k)
             assert streamed == betti_from_catalog(cplx) == betti_from_catalog(real)
             assert all(entry.multiplicity >= 1 for entry in cplx.entries)
             assert streamed.ranks[0] == cplx.total_components() == real.total_components()
@@ -100,7 +99,7 @@ def test_betti_agrees_with_catalog_paths():
 
 def test_b0_counts_components():
     for n, k in ((6, 1), (6, 6), (12, 4), (16, 8)):
-        assert betti(n, k).ranks[0] == decompose_complex(n, k).total_components()
+        assert betti(n, k).ranks[0] == decompose(ComplexComponent, n, k).total_components()
 
 
 def test_duality_report_12_2():
