@@ -6,27 +6,36 @@ domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
 report over more than MAX_CATALOG_ROWS partitions, or a reference fixture
 that is missing, empty or lacks a required column.  Output is deterministic
 across runs.
+
+``decompose`` writes each catalog row as soon as it is produced and holds
+only the rendered rows of each invariant class, so its memory does not grow
+with the number of rows; a reader that closes the pipe early ends it with
+exit 0.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import os
+import sys
 from collections import Counter
-from typing import Iterator
+from typing import Iterable, Iterator, TextIO
 
 import click
 
-from . import complex_quotient, reference, topology
-from .complex_quotient import ComplexComponent, QuotientCatalog, catalog_rows, partition_components
+from . import reference, topology
+from .complex_quotient import ComplexComponent, catalog_rows, partition_components, strata
 from .numtheory import divisors
-from .partitions import Partition, partition_count
+from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants, partition_count
 from .real_quotient import RealComponent
 from .topology import betti, duality_report, euler_characteristic, ktheory_ranks, render_grid
 
 FORMS = {"complex": ComplexComponent, "real": RealComponent}
-# A full catalog is held in memory before it is printed, at several KB per
-# row, and a duality report holds a line per partition of n; larger ones are
-# refused.  Single-partition lookups are not limited.
+# A full catalog is streamed, so this bounds the size of its output: about
+# 470 bytes per JSON row, so 470 MB of stdout at the limit.  A duality report
+# holds a line per partition of n.  Larger ones are refused; single-partition
+# lookups are not limited.
 MAX_CATALOG_ROWS = 1_000_000
 
 
@@ -81,47 +90,155 @@ def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _catalog_grid(catalog: QuotientCatalog) -> list[list[str]]:
-    if catalog.form == "complex":
-        rows = [["mu", "omega", "X", "variety"]]
-        for entry in catalog.entries:
-            rows.append([str(entry.partition), _omega_str(entry, catalog.k), str(entry.multiplicity),
-                         _variety_str(entry)])
-        return rows
-    rows = [["mu", "omega", "X", "base", "fiber dims", "C_d", "joins", "fiber action preserves orientation"]]
-    if catalog.k == 1:
-        rows[0].append("bundle orientable")
-    for entry in catalog.entries:
-        cells = [
-            str(entry.partition),
-            _omega_str(entry, catalog.k),
-            str(entry.multiplicity),
-            f"T^{entry.torus_dim}",
-            ",".join(str(d) for d in entry.fiber_simplex_dims),
-            str(entry.cyclic_order),
-            ",".join(str(c) for c in entry.join_counts),
-            _flag(entry.action_orientation_preserving),
+# Markdown column headers, by the component field each column shows.
+_MARKDOWN_HEADERS = {
+    "partition": "mu",
+    "omega": "omega",
+    "multiplicity": "X",
+    "variety": "variety",
+    "torus_dim": "base",
+    "fiber_simplex_dims": "fiber dims",
+    "cyclic_order": "C_d",
+    "join_counts": "joins",
+    "action_orientation_preserving": "fiber action preserves orientation",
+    "bundle_orientable": "bundle orientable",
+}
+
+
+def _json_cells(entry, k: int) -> list[tuple[str, str]]:
+    """Each key of ``entry.to_dict()`` with its text inside the entries of
+    ``json.dumps(catalog, indent=2)``: the entry's own dump, cut at its
+    top-level keys and indented two levels deeper."""
+    fields = entry.to_dict()
+    texts: list[str] = []
+    for line in json.dumps(fields, indent=2).split("\n")[1:-1]:
+        if line.startswith('  "'):
+            texts.append("    " + line)
+        else:
+            texts[-1] += "\n    " + line
+    return [(key, text.removesuffix(",")) for key, text in zip(fields, texts)]
+
+
+def _json_cell(key: str, value) -> str:
+    """A run-order field (a partition, a nonempty tuple of integers or a
+    flag) as :func:`_json_cells` gives it."""
+    if isinstance(value, bool):
+        return f'      "{key}": {"true" if value else "false"}'
+    if isinstance(value, Partition):
+        items = value.joined(",\n        ")
+    else:
+        items = ",\n        ".join(map(str, value))
+    return f'      "{key}": [\n        {items}\n      ]'
+
+
+def _csv_cells(entry, k: int) -> list[tuple[str, str]]:
+    """The fields of ``entry.to_dict()`` with the singularity's fields in its
+    place, each as a CSV cell."""
+    fields = []
+    for key, value in entry.to_dict().items():
+        if key == "partition":
+            value = entry.partition
+        fields.extend(value.items() if key == "singularity" else [(key, value)])
+    return [(key, _csv_cell(key, value)) for key, value in fields]
+
+
+def _csv_cell(key: str, value) -> str:
+    if isinstance(value, (list, tuple)):
+        return " ".join(map(str, value))
+    return _flag(value) if isinstance(value, bool) else str(value)
+
+
+def _markdown_cells(entry, k: int) -> list[tuple[str, str]]:
+    """The markdown columns of ``entry``, named as in _MARKDOWN_HEADERS."""
+    fields = [("partition", entry.partition), ("omega", _omega_str(entry, k)),
+              ("multiplicity", entry.multiplicity)]
+    if entry.form == "complex":
+        fields.append(("variety", _variety_str(entry)))
+    else:
+        fields += [
+            ("torus_dim", f"T^{entry.torus_dim}"),
+            ("fiber_simplex_dims", entry.fiber_simplex_dims),
+            ("cyclic_order", entry.cyclic_order),
+            ("join_counts", entry.join_counts),
+            ("action_orientation_preserving", entry.action_orientation_preserving),
         ]
-        if catalog.k == 1:
-            cells.append(_flag(entry.bundle_orientable))
-        rows.append(cells)
-    return rows
+        if k == 1:
+            fields.append(("bundle_orientable", entry.bundle_orientable))
+    return [(key, _markdown_cell(key, value)) for key, value in fields]
 
 
-def _catalog_csv_rows(catalog: QuotientCatalog) -> Iterator[list]:
-    """A header, then each entry's ``to_dict`` as CSV cells with the
-    singularity's fields in its place."""
-    for i, entry in enumerate(catalog.entries):
-        fields = {}
-        for key, value in entry.to_dict().items():
-            for name, v in value.items() if key == "singularity" else [(key, value)]:
-                if isinstance(v, list):
-                    v = " ".join(map(str, v))
-                fields[name] = _flag(v) if isinstance(v, bool) else v
-        fields["partition"] = str(entry.partition)
-        if i == 0:
-            yield list(fields)
-        yield list(fields.values())
+def _markdown_cell(key: str, value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return _flag(value) if isinstance(value, bool) else str(value)
+
+
+# Per format: the cells of a whole entry, and the cell of one run-order field.
+_CELLS = {
+    "json": (_json_cells, _json_cell),
+    "csv": (_csv_cells, _csv_cell),
+    "markdown": (_markdown_cells, _markdown_cell),
+}
+
+
+def _catalog_rows(component_type: type, n: int, k: int, partitions: Iterable[Partition],
+                  fmt: str) -> Iterator[list[str]]:
+    """The field names of a row, then the cells of every row of the catalog
+    of ``partitions``, in omega order within each partition.
+
+    Only a row's ``run_fields`` depend on more than its partition's
+    invariant class and omega.  So the first partition of each class builds
+    its components and renders their cells once, and every partition of the
+    class copies those cells and renders only its own run-order cells.  The
+    rendered classes live for one call.
+    """
+    cells, cell = _CELLS[fmt]
+    classes: dict[PartitionInvariants, list[list[str]]] = {}
+    slots: list[tuple[int, str]] = []
+    for mu in partitions:
+        inv = invariants(mu)
+        layers = strata(mu, n, k, inv)
+        rows = classes.get(inv)
+        if rows is None:
+            named = [cells(component_type.from_stratum(s), k) for s in layers]
+            if not classes:
+                names = [key for key, _ in named[0]]
+                run_keys = component_type.run_fields(layers[0])
+                slots = [(i, key) for i, key in enumerate(names) if key in run_keys]
+                yield names
+            rows = classes[inv] = [[text for _, text in row] for row in named]
+        for s, rendered in zip(layers, rows):
+            run = component_type.run_fields(s)
+            row = rendered.copy()
+            for i, key in slots:
+                row[i] = cell(key, run[key])
+            yield row
+
+
+def _write_catalog(out: TextIO, form: str, n: int, k: int, partitions: Iterable[Partition],
+                   fmt: str) -> None:
+    """Write the catalog of ``partitions`` to ``out`` row by row: JSON laid
+    out as ``json.dumps(QuotientCatalog.to_json_dict(), indent=2)`` lays it
+    out, CSV with a column per ``to_dict`` field and the singularity's fields
+    in its place, or a markdown grid with the columns of _MARKDOWN_HEADERS."""
+    rows = _catalog_rows(FORMS[form], n, k, partitions, fmt)
+    names = next(rows)
+    if fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(rows)
+    elif fmt == "markdown":
+        out.write("| " + " | ".join(_MARKDOWN_HEADERS[key] for key in names) + " |\n")
+        out.write("|" + "---|" * len(names) + "\n")
+        for row in rows:
+            out.write("| " + " | ".join(row) + " |\n")
+    else:
+        out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
+        separator = ""
+        for row in rows:
+            out.write(separator + "    {\n" + ",\n".join(row) + "\n    }")
+            separator = ",\n"
+        out.write("\n  ]\n}\n")
 
 
 @click.group()
@@ -145,16 +262,15 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
         click.echo(f"Error: the (n={n}, k={k}) catalog has {rows:,} rows, more than the "
                    f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
         ctx.exit(2)
-    if partition is not None:
-        entries = tuple(partition_components(FORMS[form], partition, n, k))
-        catalog = QuotientCatalog(n=n, k=k, form=form, entries=entries)
-    else:
-        catalog = complex_quotient.decompose(FORMS[form], n, k)
-    if fmt == "json":
-        click.echo(json.dumps(catalog.to_json_dict(), indent=2))
-    else:
-        grid = _catalog_csv_rows(catalog) if fmt == "csv" else _catalog_grid(catalog)
-        click.echo(render_grid(grid, fmt), nl=False)
+    out = sys.stdout  # not click's stdout, which is line buffered and would write each row on its own
+    try:
+        _write_catalog(out, form, n, k, [partition] if partition else enumerate_partitions(n), fmt)
+        out.flush()
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does.  Send what is still
+        # buffered to the null device so that exiting does not report it,
+        # and exit 0 like a whole-output write that was cut short.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 @main.command(name="betti")

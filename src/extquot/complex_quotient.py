@@ -209,8 +209,16 @@ class Component:
     @classmethod
     def from_stratum(cls, s: Stratum, **fibre) -> Component:
         """The component of the stratum ``s``; ``fibre`` holds the fields a
-        subclass adds."""
-        return cls(s.partition, s.omega, s.torus_dim, _singularity(s.invariants, s.d), s.multiplicity, **fibre)
+        subclass adds that are not among its :meth:`run_fields`."""
+        return cls(omega=s.omega, torus_dim=s.torus_dim, singularity=_singularity(s.invariants, s.d),
+                   multiplicity=s.multiplicity, **cls.run_fields(s), **fibre)
+
+    @classmethod
+    def run_fields(cls, s: Stratum) -> dict:
+        """The fields of the component of ``s`` that follow the run order of
+        its partition.  Every other field depends on the partition only
+        through its invariants (g, m, b, c, p) and on omega."""
+        return {"partition": s.partition}
 
     def to_dict(self) -> dict:
         return {

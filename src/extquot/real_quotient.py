@@ -49,14 +49,21 @@ class RealComponent(Component):
         norm of c is smaller than that of d, i.e. the 2-adic valuation of c
         exceeds that of d.
         """
-        c, d, runs = s.invariants.c, s.d, s.partition.runs
+        c, d = s.invariants.c, s.d
         return super().from_stratum(
-            s,
-            fiber_simplex_dims=tuple(m - 1 for _, m in runs),
-            join_counts=tuple(m // d for _, m in runs),
-            action_orientation_preserving=c % 2 == 1 or two_adic_valuation(c) > two_adic_valuation(d),
-            bundle_orientable=bundle_orientable_k1(s.partition) if s.k == 1 else None,
-        )
+            s, action_orientation_preserving=c % 2 == 1 or two_adic_valuation(c) > two_adic_valuation(d))
+
+    @classmethod
+    def run_fields(cls, s: Stratum) -> dict:
+        """The partition, and the simplex dimensions, join counts and bundle
+        orientability, which list or read the runs in order of part size."""
+        runs = s.partition.runs
+        return {
+            **super().run_fields(s),
+            "fiber_simplex_dims": tuple(m - 1 for _, m in runs),
+            "join_counts": tuple(m // s.d for _, m in runs),
+            "bundle_orientable": bundle_orientable_k1(s.partition) if s.k == 1 else None,
+        }
 
     @property
     def cyclic_order(self) -> int:

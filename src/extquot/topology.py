@@ -119,28 +119,26 @@ class PartitionDuality:
 
 @dataclass(frozen=True)
 class DualityReport:
+    """The comparison of the (n, k) and (n, n/k) quotients.  ``counts_equal``
+    and ``torus_counts_equal`` hold when every line's component counts and
+    torus-dimension histograms agree."""
+
     n: int
     k: int
     k_dual: int
     betti_ranks: tuple[int, ...]
     betti_ranks_dual: tuple[int, ...]
     lines: tuple[PartitionDuality, ...]
+    counts_equal: bool
+    torus_counts_equal: bool
 
     @property
     def betti_equal(self) -> bool:
         return self.betti_ranks == self.betti_ranks_dual
 
     @property
-    def counts_equal(self) -> bool:
-        return all(line.components == line.components_dual for line in self.lines)
-
-    @property
     def ok(self) -> bool:
-        return (
-            self.betti_equal
-            and self.counts_equal
-            and all(line.torus_counts_equal for line in self.lines)
-        )
+        return self.betti_equal and self.counts_equal and self.torus_counts_equal
 
     def partitions_with_singularity_differences(self) -> list[Partition]:
         return [line.partition for line in self.lines if not line.variety_singularities_equal]
@@ -211,6 +209,8 @@ def duality_report(n: int, k: int) -> DualityReport:
         betti_ranks=betti(n, k).ranks,
         betti_ranks_dual=betti(n, k_dual).ranks,
         lines=tuple(PartitionDuality(mu, *by_class[label]) for mu, label in _invariant_classes(n)[0]),
+        counts_equal=all(count == count_dual for count, count_dual, *_ in by_class),
+        torus_counts_equal=all(torus_equal for _, _, _, torus_equal, *_ in by_class),
     )
 
 

@@ -5,9 +5,10 @@ cofactor expansion instead of Bareiss elimination, a sieve instead of trial
 division, direct power-series multiplication instead of the convolution
 formula, the defining gcd sum instead of Pillai's multiplicative formula, a
 walk over every partition instead of the generating-function class counts, a
-fold over a full catalog instead of the class-count Betti fold, and a
+fold over a full catalog instead of the class-count Betti fold, a
 duality report that builds and compares both sides of every partition
-instead of sharing one comparison per invariant class.
+instead of sharing one comparison per invariant class, and CSV and markdown
+grids of a held catalog instead of rows streamed from per-class cells.
 """
 
 from __future__ import annotations
@@ -16,9 +17,12 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import repeat
+from typing import Iterator
 
+from extquot.cli import _flag, _omega_str, _variety_str
 from extquot.complex_quotient import (
     ComplexComponent,
+    QuotientCatalog,
     _require_divides,
     canonical_singularity,
     partition_components,
@@ -150,6 +154,8 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
         betti_ranks=betti(n, k).ranks,
         betti_ranks_dual=betti(n, k_dual).ranks,
         lines=tuple(lines),
+        counts_equal=all(line.components == line.components_dual for line in lines),
+        torus_counts_equal=all(line.torus_counts_equal for line in lines),
     )
 
 
@@ -169,3 +175,46 @@ def betti_from_catalog(catalog) -> BettiVector:
         for j in range(top + 1)
     )
     return BettiVector(n=catalog.n, k=catalog.k, ranks=ranks)
+
+
+def _catalog_grid(catalog: QuotientCatalog) -> list[list[str]]:
+    if catalog.form == "complex":
+        rows = [["mu", "omega", "X", "variety"]]
+        for entry in catalog.entries:
+            rows.append([str(entry.partition), _omega_str(entry, catalog.k), str(entry.multiplicity),
+                         _variety_str(entry)])
+        return rows
+    rows = [["mu", "omega", "X", "base", "fiber dims", "C_d", "joins", "fiber action preserves orientation"]]
+    if catalog.k == 1:
+        rows[0].append("bundle orientable")
+    for entry in catalog.entries:
+        cells = [
+            str(entry.partition),
+            _omega_str(entry, catalog.k),
+            str(entry.multiplicity),
+            f"T^{entry.torus_dim}",
+            ",".join(str(d) for d in entry.fiber_simplex_dims),
+            str(entry.cyclic_order),
+            ",".join(str(c) for c in entry.join_counts),
+            _flag(entry.action_orientation_preserving),
+        ]
+        if catalog.k == 1:
+            cells.append(_flag(entry.bundle_orientable))
+        rows.append(cells)
+    return rows
+
+
+def _catalog_csv_rows(catalog: QuotientCatalog) -> Iterator[list]:
+    """A header, then each entry's ``to_dict`` as CSV cells with the
+    singularity's fields in its place."""
+    for i, entry in enumerate(catalog.entries):
+        fields = {}
+        for key, value in entry.to_dict().items():
+            for name, v in value.items() if key == "singularity" else [(key, value)]:
+                if isinstance(v, list):
+                    v = " ".join(map(str, v))
+                fields[name] = _flag(v) if isinstance(v, bool) else v
+        fields["partition"] = str(entry.partition)
+        if i == 0:
+            yield list(fields)
+        yield list(fields.values())

@@ -1,0 +1,146 @@
+"""The streamed catalog writer behind ``decompose``.
+
+Large catalogs are pinned by the SHA-256 of their stdout, taken before the
+catalog was streamed row by row; they are too large for ``tests/golden/``.
+Small catalogs are compared byte for byte with the held-catalog rendering
+that ``decompose`` used to print.
+"""
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import extquot
+from conftest import _catalog_csv_rows, _catalog_grid
+from extquot.cli import FORMS, main, parse_partition
+from extquot.complex_quotient import ComplexComponent, QuotientCatalog, decompose, partition_components
+from extquot.numtheory import divisors
+from extquot.topology import render_grid
+
+FORMATS = ("json", "csv", "markdown")
+
+PINNED = {
+    ("--n", "40", "--k", "4", "--format", "json"):
+        "d75894904103011cdee95ec0619dbcd17fcebf42907c9fbd14b09277b400510d",
+    ("--n", "40", "--k", "1", "--form", "real", "--format", "csv"):
+        "40b99fa58f781411660415959ae43a4a67df7a4c40b90c362ee77beabb42eb8e",
+    ("--n", "40", "--k", "1", "--form", "real", "--format", "markdown"):
+        "febf5f76635c320249719d5e9c4802af1684d101e6562b12ad801d2144953488",
+    ("--n", "36", "--k", "6", "--form", "real", "--format", "json"):
+        "57c48824f1ef991e5e9967b0c3aa54e247b4b6fedc7846f906b51b1e837f1e5c",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
+def test_large_catalog_digest_is_pinned(args):
+    result = CliRunner().invoke(main, ["decompose", *args])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == PINNED[args]
+
+
+def _held_rendering(catalog, fmt: str) -> str:
+    """The catalog as ``decompose`` printed it from a held catalog."""
+    if fmt == "json":
+        return json.dumps(catalog.to_json_dict(), indent=2) + "\n"
+    return render_grid(_catalog_csv_rows(catalog) if fmt == "csv" else _catalog_grid(catalog), fmt)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_streamed_catalog_matches_held_rendering(n):
+    runner = CliRunner()
+    for k in divisors(n):
+        for form, component_type in FORMS.items():
+            catalog = decompose(component_type, n, k)
+            for fmt in FORMATS:
+                result = runner.invoke(main, ["decompose", "--n", str(n), "--k", str(k), "--form", form,
+                                              "--format", fmt])
+                assert result.exit_code == 0, result.output
+                assert result.stdout == _held_rendering(catalog, fmt), (n, k, form, fmt)
+
+
+@pytest.mark.parametrize("n, k, text", [
+    (16, 8, "2^4,4^2"), (16, 8, "4,4,4,4"), (12, 6, "1^12"), (12, 4, "1^4,2^2,4"), (30, 30, "5^6"),
+    (100, 4, "25,25,25,25"),
+])
+def test_streamed_lookup_matches_held_rendering(n, k, text):
+    runner = CliRunner()
+    for form, component_type in FORMS.items():
+        entries = tuple(partition_components(component_type, parse_partition(text), n, k))
+        catalog = QuotientCatalog(n=n, k=k, form=form, entries=entries)
+        for fmt in FORMATS:
+            result = runner.invoke(main, ["decompose", "--n", str(n), "--k", str(k), "--partition", text,
+                                          "--form", form, "--format", fmt])
+            assert result.exit_code == 0, result.output
+            assert result.stdout == _held_rendering(catalog, fmt), (form, fmt)
+
+
+@pytest.mark.parametrize("fmt, first_line", [
+    ("json", b"{\n"),
+    ("csv", b"partition,omega_exponent,omega_order,torus_dim,multiplicity,ambient_dim,group_order,weights\n"),
+    ("markdown", b"| mu | omega | X | variety |\n"),
+])
+def test_reader_closing_early_exits_zero(fmt, first_line):
+    """``decompose ... | head -1``: the dump stops without a traceback and
+    exits 0, as it did when the whole catalog was written at once."""
+    env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "extquot.cli", "decompose", "--n", "30", "--k", "2", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
+    finally:
+        proc.kill()
+        proc.wait()
+    assert stderr == b""
+
+
+class _ByteCounter(io.RawIOBase):
+    """A binary sink that keeps only the number of bytes written to it."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.count += len(data)
+        return len(data)
+
+
+def _traced(run):
+    """The result of ``run()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+STREAMED_PEAK_BOUND = 8_000_000  # bytes
+
+
+def test_full_catalog_streams_in_flat_memory(monkeypatch):
+    """The (40, 4) complex JSON catalog, 18 MB of stdout, is written with a
+    traced peak under a few MB; rendering the held catalog peaks over 100 MB."""
+    held, held_peak = _traced(lambda: _held_rendering(decompose(ComplexComponent, 40, 4), "json"))
+    assert held_peak > 100_000_000
+    counter = _ByteCounter()
+    stdout = io.TextIOWrapper(io.BufferedWriter(counter), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    args = ["decompose", "--n", "40", "--k", "4", "--format", "json"]
+    _, peak = _traced(lambda: main.main(args=args, standalone_mode=False))
+    stdout.flush()
+    assert counter.count == len(held)
+    assert peak < STREAMED_PEAK_BOUND, peak

@@ -142,6 +142,8 @@ def test_duality_report_matches_per_partition_oracle():
             assert (fast.n, fast.k, fast.k_dual) == (slow.n, slow.k, slow.k_dual)
             assert fast.betti_ranks == slow.betti_ranks
             assert fast.betti_ranks_dual == slow.betti_ranks_dual
+            assert (fast.counts_equal, fast.torus_counts_equal) == (slow.counts_equal, slow.torus_counts_equal)
+            assert fast.ok == slow.ok
             assert len(fast.lines) == len(slow.lines)
             for line, expected in zip(fast.lines, slow.lines):
                 assert line == expected, (n, k, str(expected.partition))
