@@ -5,37 +5,39 @@ component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
 report over more than MAX_CATALOG_ROWS partitions, or a reference fixture
 that is missing, empty or lacks a required column.  Output is deterministic
-across runs.
+across runs, and the exit status never depends on the reader: one that
+closes the pipe early only ends the printing.
 
-``decompose`` writes each catalog row as soon as it is produced and holds
-only the rendered rows of each invariant class, so its memory does not grow
-with the number of rows; a reader that closes the pipe early ends it with
-exit 0.
+``decompose`` writes each catalog row as soon as it is produced.  It builds
+the strata of each invariant class (g, m, b, c, p) once, and holds only
+those and the class's rendered rows, so its memory does not grow with the
+number of rows.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
+from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 import click
 
 from . import reference, topology
-from .complex_quotient import ComplexComponent, catalog_rows, partition_components, strata
+from .complex_quotient import ComplexComponent, Stratum, catalog_rows, partition_components, strata
 from .numtheory import divisors
 from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants, partition_count
 from .real_quotient import RealComponent
-from .topology import betti, duality_report, euler_characteristic, ktheory_ranks, render_grid
+from .topology import betti, duality_report, euler_characteristic, ktheory_ranks, write_grid
 
 FORMS = {"complex": ComplexComponent, "real": RealComponent}
 # A full catalog is streamed, so this bounds the size of its output: about
 # 470 bytes per JSON row, so 470 MB of stdout at the limit.  A duality report
-# holds a line per partition of n.  Larger ones are refused; single-partition
-# lookups are not limited.
+# labels every partition of n with its class.  Larger ones are refused;
+# single-partition lookups are not limited.
 MAX_CATALOG_ROWS = 1_000_000
 
 
@@ -188,27 +190,27 @@ def _catalog_rows(component_type: type, n: int, k: int, partitions: Iterable[Par
 
     Only a row's ``run_fields`` depend on more than its partition's
     invariant class and omega.  So the first partition of each class builds
-    its components and renders their cells once, and every partition of the
-    class copies those cells and renders only its own run-order cells.  The
-    rendered classes live for one call.
+    the class's strata once, with its components' cells, and every partition
+    of the class copies those cells and renders only its own run-order
+    cells.  The classes live for one call.
     """
     cells, cell = _CELLS[fmt]
-    classes: dict[PartitionInvariants, list[list[str]]] = {}
+    classes: dict[PartitionInvariants, list[tuple[Stratum, list[str]]]] = {}
     slots: list[tuple[int, str]] = []
     for mu in partitions:
         inv = invariants(mu)
-        layers = strata(mu, n, k, inv)
         rows = classes.get(inv)
         if rows is None:
-            named = [cells(component_type.from_stratum(s), k) for s in layers]
+            layers = strata(inv, n, k)
+            named = [cells(component_type.from_stratum(s, mu), k) for s in layers]
             if not classes:
                 names = [key for key, _ in named[0]]
-                run_keys = component_type.run_fields(layers[0])
+                run_keys = component_type.run_fields(layers[0], mu)
                 slots = [(i, key) for i, key in enumerate(names) if key in run_keys]
                 yield names
-            rows = classes[inv] = [[text for _, text in row] for row in named]
-        for s, rendered in zip(layers, rows):
-            run = component_type.run_fields(s)
+            rows = classes[inv] = [(s, [text for _, text in row]) for s, row in zip(layers, named)]
+        for s, rendered in rows:
+            run = component_type.run_fields(s, mu)
             row = rendered.copy()
             for i, key in slots:
                 row[i] = cell(key, run[key])
@@ -223,22 +225,31 @@ def _write_catalog(out: TextIO, form: str, n: int, k: int, partitions: Iterable[
     in its place, or a markdown grid with the columns of _MARKDOWN_HEADERS."""
     rows = _catalog_rows(FORMS[form], n, k, partitions, fmt)
     names = next(rows)
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(rows)
-    elif fmt == "markdown":
-        out.write("| " + " | ".join(_MARKDOWN_HEADERS[key] for key in names) + " |\n")
-        out.write("|" + "---|" * len(names) + "\n")
-        for row in rows:
-            out.write("| " + " | ".join(row) + " |\n")
-    else:
-        out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
-        separator = ""
-        for row in rows:
-            out.write(separator + "    {\n" + ",\n".join(row) + "\n    }")
-            separator = ",\n"
-        out.write("\n  ]\n}\n")
+    if fmt != "json":
+        header = [_MARKDOWN_HEADERS[key] for key in names] if fmt == "markdown" else names
+        write_grid(out, chain([header], rows), fmt)
+        return
+    out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
+    separator = ""
+    for row in rows:
+        out.write(separator + "    {\n" + ",\n".join(row) + "\n    }")
+        separator = ",\n"
+    out.write("\n  ]\n}\n")
+
+
+@contextmanager
+def _stdout() -> Iterator[TextIO]:
+    """Standard output, for a command to print to.  A reader that closes the
+    pipe early, as ``| head`` does, only ends the printing: there is no
+    traceback, and the exit status still comes from the command's results."""
+    out = sys.stdout  # not click's stdout, which is line buffered and would write each row on its own
+    try:
+        yield out
+        out.flush()
+    except BrokenPipeError:
+        # Send what is still buffered to the null device so that exiting
+        # does not report it.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 @click.group()
@@ -262,15 +273,8 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
         click.echo(f"Error: the (n={n}, k={k}) catalog has {rows:,} rows, more than the "
                    f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
         ctx.exit(2)
-    out = sys.stdout  # not click's stdout, which is line buffered and would write each row on its own
-    try:
+    with _stdout() as out:
         _write_catalog(out, form, n, k, [partition] if partition else enumerate_partitions(n), fmt)
-        out.flush()
-    except BrokenPipeError:
-        # The reader stopped early, as `| head` does.  Send what is still
-        # buffered to the null device so that exiting does not report it,
-        # and exit 0 like a whole-output write that was cut short.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 @main.command(name="betti")
@@ -280,11 +284,10 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
 def betti_cmd(n: int, k: int, fmt: str) -> None:
     """Print the Betti vector b_0 .. b_D for (n, k)."""
     _check_arguments(n, k)
-    vector = betti(n, k)
-    if fmt == "json":
-        click.echo(json.dumps({"n": n, "k": k, "betti": list(vector.ranks)}))
-    else:
-        click.echo(" ".join(str(r) for r in vector.ranks))
+    ranks = betti(n, k).ranks
+    text = json.dumps({"n": n, "k": k, "betti": list(ranks)}) if fmt == "json" else " ".join(map(str, ranks))
+    with _stdout() as out:
+        click.echo(text, file=out)
 
 
 @main.command(name="ktheory")
@@ -295,10 +298,9 @@ def ktheory_cmd(n: int, k: int, fmt: str) -> None:
     """Print the K0 and K1 ranks for (n, k)."""
     _check_arguments(n, k)
     ranks = ktheory_ranks(n, k)
-    if fmt == "json":
-        click.echo(json.dumps({"n": n, "k": k, "k0": ranks.k0, "k1": ranks.k1}))
-    else:
-        click.echo(f"{ranks.k0} {ranks.k1}")
+    text = json.dumps({"n": n, "k": k, "k0": ranks.k0, "k1": ranks.k1}) if fmt == "json" else f"{ranks.k0} {ranks.k1}"
+    with _stdout() as out:
+        click.echo(text, file=out)
 
 
 @main.command(name="euler")
@@ -309,10 +311,9 @@ def euler_cmd(n: int, k: int, fmt: str) -> None:
     """Print the Euler characteristic for (n, k)."""
     _check_arguments(n, k)
     chi = euler_characteristic(n, k)
-    if fmt == "json":
-        click.echo(json.dumps({"n": n, "k": k, "euler": chi}))
-    else:
-        click.echo(str(chi))
+    text = json.dumps({"n": n, "k": k, "euler": chi}) if fmt == "json" else str(chi)
+    with _stdout() as out:
+        click.echo(text, file=out)
 
 
 @main.command(name="table")
@@ -329,7 +330,8 @@ def table_cmd(kind: str, max_n: int, k: int, even_only: bool, fmt: str) -> None:
         grid = topology.betti_grid(topology.betti_table(max_n, k, even_only=even_only))
     else:
         grid = topology.ktheory_grid(topology.ktheory_table(max_n))
-    click.echo(render_grid(grid, fmt), nl=False)
+    with _stdout() as out:
+        write_grid(out, grid, fmt)
 
 
 @main.command(name="duality")
@@ -346,32 +348,32 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
         ctx.exit(2)
     reports = [duality_report(n, k) for k in divisors(n)]
     failed = any(not report.ok for report in reports)
-    if fmt == "json":
-        payload = []
-        for report in reports:
-            payload.append({
-                "n": report.n,
-                "k": report.k,
-                "k_dual": report.k_dual,
-                "betti_equal": report.betti_equal,
-                "counts_equal": report.counts_equal,
-                "singularity_differences": [
-                    str(p) for p in report.partitions_with_singularity_differences()
-                ],
-            })
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for report in reports:
-            status = "ok" if report.ok else "MISMATCH"
-            line = (
-                f"n={report.n} k={report.k} <-> k'={report.k_dual}: betti "
-                f"{'=' if report.betti_equal else '!='} dual, counts "
-                f"{'=' if report.counts_equal else '!='} dual [{status}]"
-            )
-            diffs = report.partitions_with_singularity_differences()
-            if diffs:
-                line += " (singularity structure differs for: " + ", ".join(str(p) for p in diffs) + ")"
-            click.echo(line)
+    with _stdout() as out:
+        if fmt == "json":
+            payload = [
+                {
+                    "n": report.n,
+                    "k": report.k,
+                    "k_dual": report.k_dual,
+                    "betti_equal": report.betti_equal,
+                    "counts_equal": report.counts_equal,
+                    "singularity_differences": [str(p) for p in report.partitions_with_singularity_differences()],
+                }
+                for report in reports
+            ]
+            click.echo(json.dumps(payload, indent=2), file=out)
+        else:
+            for report in reports:
+                status = "ok" if report.ok else "MISMATCH"
+                line = (
+                    f"n={report.n} k={report.k} <-> k'={report.k_dual}: betti "
+                    f"{'=' if report.betti_equal else '!='} dual, counts "
+                    f"{'=' if report.counts_equal else '!='} dual [{status}]"
+                )
+                diffs = report.partitions_with_singularity_differences()
+                if diffs:
+                    line += " (singularity structure differs for: " + ", ".join(str(p) for p in diffs) + ")"
+                click.echo(line, file=out)
     if failed:
         ctx.exit(1)
 
@@ -396,29 +398,30 @@ def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_
     if suite == "all":
         reports.extend(fn() for fn in reference.PROPERTY_SUITES.values())
     clean = all(report.ok for report in reports)
-    if fmt == "json":
-        payload = {
-            "suite": suite,
-            "ok": clean,
-            "reports": [
-                {
-                    "table": report.table_id,
-                    "cells_checked": report.cells_checked,
-                    "mismatches": [
-                        {"location": m.location, "expected": m.expected, "actual": m.actual}
-                        for m in report.mismatches
-                    ],
-                }
-                for report in reports
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for report in reports:
-            click.echo(report.summary())
-            for m in report.mismatches:
-                click.echo(f"  {m.location}: expected {m.expected!r}, got {m.actual!r}")
-        click.echo("verification " + ("clean" if clean else "FAILED"))
+    with _stdout() as out:
+        if fmt == "json":
+            payload = {
+                "suite": suite,
+                "ok": clean,
+                "reports": [
+                    {
+                        "table": report.table_id,
+                        "cells_checked": report.cells_checked,
+                        "mismatches": [
+                            {"location": m.location, "expected": m.expected, "actual": m.actual}
+                            for m in report.mismatches
+                        ],
+                    }
+                    for report in reports
+                ],
+            }
+            click.echo(json.dumps(payload, indent=2), file=out)
+        else:
+            for report in reports:
+                click.echo(report.summary(), file=out)
+                for m in report.mismatches:
+                    click.echo(f"  {m.location}: expected {m.expected!r}, got {m.actual!r}", file=out)
+            click.echo("verification " + ("clean" if clean else "FAILED"), file=out)
     if not clean:
         ctx.exit(1)
 
@@ -439,18 +442,18 @@ def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form
         raise click.UsageError(f"omega exponent must lie in 0..{len(entries) - 1} for this partition")
     entry = entries[omega_exponent]
     if fmt == "json":
-        click.echo(json.dumps(entry.to_dict(), indent=2))
+        text = json.dumps(entry.to_dict(), indent=2)
     elif form == "complex":
-        click.echo(
-            f"mu={entry.partition} omega={_omega_str(entry, k)} |X|={entry.multiplicity} "
-            f"variety={_variety_str(entry)}"
-        )
+        text = (f"mu={entry.partition} omega={_omega_str(entry, k)} |X|={entry.multiplicity} "
+                f"variety={_variety_str(entry)}")
     else:
-        click.echo(
+        text = (
             f"mu={entry.partition} omega={_omega_str(entry, k)} |X|={entry.multiplicity} "
             f"base=T^{entry.torus_dim} fiber={','.join(str(d) for d in entry.fiber_simplex_dims)} "
             f"C_d={entry.cyclic_order} orientation_preserving={_flag(entry.action_orientation_preserving)}"
         )
+    with _stdout() as out:
+        click.echo(text, file=out)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ group of order gcd(g(mu), k).  Every stratum has a base torus of dimension
 b-1, a cyclic group of order d = gcd(m, k/|omega|) acting on its fibre, and
 gcd(g/|omega|, n/k) discrete points, where b, c are the distinct/total part
 counts of mu and m is the gcd of its multiplicities.  This module computes
-that shared data once per (mu, omega) and builds the catalogs of either form
-from it; only the fibre differs.  In the complex form it is
+that shared data once per omega and invariant class (g, m, b, c, p) of mu,
+and builds the catalogs of either form from it; only the fibre differs.  In
+the complex form it is
 
     A^(c-b) / C_d,
 
@@ -112,11 +113,11 @@ class QuotientCatalog:
 
 
 class Stratum(NamedTuple):
-    """What both forms share for the stratum (mu, omega) of the (n, k)
-    quotient: the torus dimension b - 1, the order d of the cyclic group on
-    the fibre and the number of discrete points."""
+    """What both forms share for the stratum (class, omega) of the (n, k)
+    quotient, where the class is the invariants (g, m, b, c, p) of its
+    partitions: the torus dimension b - 1, the order d of the cyclic group
+    on the fibre and the number of discrete points."""
 
-    partition: Partition
     invariants: PartitionInvariants
     omega: OmegaLabel
     k: int
@@ -124,29 +125,29 @@ class Stratum(NamedTuple):
     d: int
     multiplicity: int
 
+    @property
+    def singularity(self) -> CyclicSingularity:
+        """The singularity A^(c-b) / C_d of the stratum's fibre."""
+        return _singularity(self.invariants, self.d)
+
 
 def _require_divides(k: int, n: int) -> None:
     if n < 1 or k < 1 or n % k != 0:
         raise ValueError(f"k={k} must divide n={n}")
 
 
-def _stratum(mu: Partition, inv: PartitionInvariants, omega: OmegaLabel, n: int, k: int) -> Stratum:
+def strata(inv: PartitionInvariants, n: int, k: int) -> list[Stratum]:
+    """The strata of every partition of n with invariants ``inv``, one per
+    omega = zeta_h^e for e = 0..h-1 with h = gcd(g, k)."""
     _require_divides(k, n)
-    order = omega.order
-    if k % order != 0:
-        raise ValueError(f"omega order {order} does not divide k={k}")
-    return Stratum(mu, inv, omega, k, torus_dim=inv.b - 1, d=math.gcd(inv.m, k // order),
-                   multiplicity=math.gcd(inv.g // order, n // k))
-
-
-def strata(mu: Partition, n: int, k: int, inv: PartitionInvariants | None = None) -> list[Stratum]:
-    """The strata labelled by mu, one per omega = zeta_h^e for e = 0..h-1
-    with h = gcd(g(mu), k); the invariants of mu are computed once, or taken
-    from ``inv`` when the caller already has them."""
-    if inv is None:
-        inv = invariants(mu)
     h = math.gcd(inv.g, k)
-    return [_stratum(mu, inv, OmegaLabel(h, e), n, k) for e in range(h)]
+    layers = []
+    for e in range(h):
+        omega = OmegaLabel(h, e)
+        order = omega.order
+        layers.append(Stratum(inv, omega, k, torus_dim=inv.b - 1, d=math.gcd(inv.m, k // order),
+                              multiplicity=math.gcd(inv.g // order, n // k)))
+    return layers
 
 
 def partition_components(component_type: type, mu: Partition, n: int, k: int) -> list:
@@ -157,7 +158,7 @@ def partition_components(component_type: type, mu: Partition, n: int, k: int) ->
     Every single-partition lookup goes through here, so none of them
     enumerates the other partitions of n.
     """
-    return [component_type.from_stratum(s) for s in strata(mu, n, k)]
+    return [component_type.from_stratum(s, mu) for s in strata(invariants(mu), n, k)]
 
 
 def decompose(component_type: type, n: int, k: int) -> QuotientCatalog:
@@ -207,18 +208,17 @@ class Component:
     multiplicity: int
 
     @classmethod
-    def from_stratum(cls, s: Stratum, **fibre) -> Component:
-        """The component of the stratum ``s``; ``fibre`` holds the fields a
-        subclass adds that are not among its :meth:`run_fields`."""
-        return cls(omega=s.omega, torus_dim=s.torus_dim, singularity=_singularity(s.invariants, s.d),
-                   multiplicity=s.multiplicity, **cls.run_fields(s), **fibre)
+    def from_stratum(cls, s: Stratum, mu: Partition) -> Component:
+        """The component of the stratum ``s`` of the partition ``mu``."""
+        return cls(omega=s.omega, torus_dim=s.torus_dim, singularity=s.singularity,
+                   multiplicity=s.multiplicity, **cls.run_fields(s, mu))
 
     @classmethod
-    def run_fields(cls, s: Stratum) -> dict:
-        """The fields of the component of ``s`` that follow the run order of
-        its partition.  Every other field depends on the partition only
-        through its invariants (g, m, b, c, p) and on omega."""
-        return {"partition": s.partition}
+    def run_fields(cls, s: Stratum, mu: Partition) -> dict:
+        """The fields of the component of the stratum ``s`` of ``mu`` that
+        follow the run order of ``mu``.  Every other field depends on the
+        partition only through its invariants (g, m, b, c, p) and on omega."""
+        return {"partition": mu}
 
     def to_dict(self) -> dict:
         return {

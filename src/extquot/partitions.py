@@ -98,11 +98,11 @@ def invariants(mu: Partition) -> PartitionInvariants:
     mults = [m for _, m in mu.runs]
     g = reduce(math.gcd, parts)
     m = reduce(math.gcd, mults)
-    b = len(mu.runs)
-    c = sum(mults)
-    max_mult = max(mults)
-    p_vec = tuple(sum(1 for mm in mults if mm > i) for i in range(1, max_mult))
-    return PartitionInvariants(g=g, m=m, b=b, c=c, p=p_vec)
+    p = [0] * (max(mults) - 1)
+    for mm in mults:  # a part of multiplicity mm counts at every level i < mm
+        for i in range(mm - 1):
+            p[i] += 1
+    return PartitionInvariants(g=g, m=m, b=len(mults), c=sum(mults), p=tuple(p))
 
 
 def _descending_partitions(n: int) -> Iterator[list[int]]:

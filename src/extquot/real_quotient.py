@@ -38,37 +38,32 @@ class RealComponent(Component):
 
     fiber_simplex_dims: tuple[int, ...]
     join_counts: tuple[int, ...]
-    action_orientation_preserving: bool
     bundle_orientable: bool | None = None
 
     @classmethod
-    def from_stratum(cls, s: Stratum) -> RealComponent:
-        """The polysimplex fibre over the stratum.
-
-        The fibre action preserves orientation iff c is odd or the 2-adic
-        norm of c is smaller than that of d, i.e. the 2-adic valuation of c
-        exceeds that of d.
-        """
-        c, d = s.invariants.c, s.d
-        return super().from_stratum(
-            s, action_orientation_preserving=c % 2 == 1 or two_adic_valuation(c) > two_adic_valuation(d))
-
-    @classmethod
-    def run_fields(cls, s: Stratum) -> dict:
+    def run_fields(cls, s: Stratum, mu: Partition) -> dict:
         """The partition, and the simplex dimensions, join counts and bundle
         orientability, which list or read the runs in order of part size."""
-        runs = s.partition.runs
         return {
-            **super().run_fields(s),
-            "fiber_simplex_dims": tuple(m - 1 for _, m in runs),
-            "join_counts": tuple(m // s.d for _, m in runs),
-            "bundle_orientable": bundle_orientable_k1(s.partition) if s.k == 1 else None,
+            **super().run_fields(s, mu),
+            "fiber_simplex_dims": tuple(m - 1 for _, m in mu.runs),
+            "join_counts": tuple(m // s.d for _, m in mu.runs),
+            "bundle_orientable": bundle_orientable_k1(mu) if s.k == 1 else None,
         }
 
     @property
     def cyclic_order(self) -> int:
         """The order d of the cyclic group acting on the fibres."""
         return self.singularity.group_order
+
+    @property
+    def action_orientation_preserving(self) -> bool:
+        """Whether the cyclic group preserves the orientation of the fibres:
+        iff the part count c is odd or the 2-adic norm of c is smaller than
+        that of d, i.e. the 2-adic valuation of c exceeds that of d."""
+        c = self.torus_dim + 1 + self.singularity.ambient_dim  # (b - 1) + 1 + (c - b)
+        d = self.cyclic_order
+        return c % 2 == 1 or two_adic_valuation(c) > two_adic_valuation(d)
 
     def to_dict(self) -> dict:
         data = {

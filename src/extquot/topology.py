@@ -16,15 +16,14 @@ class (g, m, b, c, p) of partitions of n, not once per partition.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .complex_quotient import (
-    ComplexComponent,
+    Stratum,
     canonical_singularity,
     component_count_from_gcd,
     strata,
@@ -32,7 +31,8 @@ from .complex_quotient import (
     _require_divides,
 )
 from .numtheory import divisors
-from .partitions import Partition, enumerate_partitions, gcd_distinct_counts, invariants, partitions_pairs
+from .partitions import (Partition, PartitionInvariants, enumerate_partitions, gcd_distinct_counts, invariants,
+                         partitions_pairs)
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,12 @@ def top_betti(n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class PartitionDuality:
-    """Per-partition comparison between the (n, k) and (n, n/k) quotients:
-    ``components`` and ``components_dual`` are the partition's number of
-    components on each side."""
+class ClassDuality:
+    """The comparison of one invariant class of partitions of n between the
+    (n, k) and (n, n/k) quotients: ``components`` and ``components_dual``
+    are the number of components of each partition of the class on each
+    side."""
 
-    partition: Partition
     components: int
     components_dual: int
     torus_dim: int
@@ -119,66 +119,68 @@ class PartitionDuality:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """The comparison of the (n, k) and (n, n/k) quotients.  ``counts_equal``
-    and ``torus_counts_equal`` hold when every line's component counts and
-    torus-dimension histograms agree."""
+    """The comparison of the (n, k) and (n, n/k) quotients: one comparison
+    per class, and every partition of n in enumeration order with the index
+    of its class."""
 
     n: int
     k: int
     k_dual: int
     betti_ranks: tuple[int, ...]
     betti_ranks_dual: tuple[int, ...]
-    lines: tuple[PartitionDuality, ...]
-    counts_equal: bool
-    torus_counts_equal: bool
+    classes: tuple[ClassDuality, ...]
+    partitions: tuple[tuple[Partition, int], ...]
 
     @property
     def betti_equal(self) -> bool:
         return self.betti_ranks == self.betti_ranks_dual
 
     @property
+    def counts_equal(self) -> bool:
+        return all(c.components == c.components_dual for c in self.classes)
+
+    @property
+    def torus_counts_equal(self) -> bool:
+        return all(c.torus_counts_equal for c in self.classes)
+
+    @property
     def ok(self) -> bool:
         return self.betti_equal and self.counts_equal and self.torus_counts_equal
 
     def partitions_with_singularity_differences(self) -> list[Partition]:
-        return [line.partition for line in self.lines if not line.variety_singularities_equal]
+        return [mu for mu, label in self.partitions if not self.classes[label].variety_singularities_equal]
 
 
 @lru_cache(maxsize=2)  # the reports for every divisor of one n read the same entry
-def _invariant_classes(n: int) -> tuple[tuple, tuple]:
+def _invariant_classes(n: int) -> tuple[tuple[tuple[Partition, int], ...], tuple[PartitionInvariants, ...]]:
     """Every partition of n in enumeration order with the index of its
-    invariant class, and the classes as (first partition, invariants) pairs.
-    ``invariants`` runs once per partition."""
-    index, labelled, classes = {}, [], []
+    invariant class, and the invariants of each class.  ``invariants`` runs
+    once per partition."""
+    index: dict[PartitionInvariants, int] = {}
+    labelled = []
     for mu in enumerate_partitions(n):
-        inv = invariants(mu)
-        if inv not in index:
-            index[inv] = len(classes)
-            classes.append((mu, inv))
-        labelled.append((mu, index[inv]))
-    return tuple(labelled), tuple(classes)
+        labelled.append((mu, index.setdefault(invariants(mu), len(index))))
+    return tuple(labelled), tuple(index)
 
 
-def _profile(components: list) -> tuple[int, int, Counter, Counter, Counter]:
-    """One side of a partition's duality comparison: its component count, its
+def _profile(layers: list[Stratum]) -> tuple[int, int, Counter, Counter, Counter]:
+    """One side of a class's duality comparison: its component count, its
     torus dimension and the multisets of torus dimensions, canonical
     singularities and variety normal forms, each weighted by multiplicity."""
     torus_dims, descriptors, varieties = Counter(), Counter(), Counter()
-    for e in components:
-        torus_dims[e.torus_dim] += e.multiplicity
-        descriptors[canonical_singularity(e.singularity)] += e.multiplicity
-        varieties[variety_normal_form(e.singularity)] += e.multiplicity
-    return sum(torus_dims.values()), components[0].torus_dim, torus_dims, descriptors, varieties
+    for s in layers:
+        singularity = s.singularity
+        torus_dims[s.torus_dim] += s.multiplicity
+        descriptors[canonical_singularity(singularity)] += s.multiplicity
+        varieties[variety_normal_form(singularity)] += s.multiplicity
+    return sum(torus_dims.values()), layers[0].torus_dim, torus_dims, descriptors, varieties
 
 
 @lru_cache(maxsize=16)  # no n small enough to report on has more divisors
 def _side_profiles(n: int, k: int) -> tuple[tuple[int, int, Counter, Counter, Counter], ...]:
     """The profile of every invariant class of n in the (n, k) quotient, in
     class order.  The reports for k and for n/k both read it."""
-    return tuple(
-        _profile([ComplexComponent.from_stratum(s) for s in strata(mu, n, k, inv)])
-        for mu, inv in _invariant_classes(n)[1]
-    )
+    return tuple(_profile(strata(inv, n, k)) for inv in _invariant_classes(n)[1])
 
 
 def duality_report(n: int, k: int) -> DualityReport:
@@ -190,27 +192,26 @@ def duality_report(n: int, k: int) -> DualityReport:
     the level of the underlying varieties (quasi-reflections discarded), and
     partitions are flagged when the varieties genuinely differ.
 
-    Each comparison is made once per invariant class and shared by its
-    partitions, from side profiles that the report for n/k reuses.
+    Each comparison is made once per invariant class, from side profiles
+    that the report for n/k reuses; the reports for every divisor of n share
+    one tuple of labelled partitions.
     """
     _require_divides(k, n)
     k_dual = n // k
-    by_class = [
-        (count, count_dual, torus_dim, torus_dims == torus_dims_dual,
-         descriptors == descriptors_dual, varieties == varieties_dual)
-        for (count, torus_dim, torus_dims, descriptors, varieties),
-            (count_dual, _, torus_dims_dual, descriptors_dual, varieties_dual)
-        in zip(_side_profiles(n, k), _side_profiles(n, k_dual))
-    ]
     return DualityReport(
         n=n,
         k=k,
         k_dual=k_dual,
         betti_ranks=betti(n, k).ranks,
         betti_ranks_dual=betti(n, k_dual).ranks,
-        lines=tuple(PartitionDuality(mu, *by_class[label]) for mu, label in _invariant_classes(n)[0]),
-        counts_equal=all(count == count_dual for count, count_dual, *_ in by_class),
-        torus_counts_equal=all(torus_equal for _, _, _, torus_equal, *_ in by_class),
+        classes=tuple(
+            ClassDuality(count, count_dual, torus_dim, torus_dims == torus_dims_dual,
+                         descriptors == descriptors_dual, varieties == varieties_dual)
+            for (count, torus_dim, torus_dims, descriptors, varieties),
+                (count_dual, _, torus_dims_dual, descriptors_dual, varieties_dual)
+            in zip(_side_profiles(n, k), _side_profiles(n, k_dual))
+        ),
+        partitions=_invariant_classes(n)[0],
     )
 
 
@@ -251,18 +252,14 @@ def ktheory_grid(rows: Sequence[tuple[int, dict[int, KTheoryRanks]]]) -> list[li
     return grid
 
 
-def _csv_text(rows: Iterable[Sequence[str]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def render_grid(rows: Iterable[Sequence], fmt: str) -> str:
-    """A table whose first row is its header, as CSV or as a markdown grid."""
+def write_grid(out: TextIO, rows: Iterable[Sequence[str]], fmt: str) -> None:
+    """Write a table whose first row is its header to ``out`` row by row, as
+    CSV or as a markdown grid."""
     if fmt == "csv":
-        return _csv_text(rows)
-    header, *body = rows
-    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    lines.extend("| " + " | ".join(row) + " |" for row in body)
-    return "\n".join(lines) + "\n"
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        return
+    rows = iter(rows)
+    header = next(rows)
+    out.write("| " + " | ".join(header) + " |\n|" + "---|" * len(header) + "\n")
+    for row in rows:
+        out.write("| " + " | ".join(row) + " |\n")

@@ -13,6 +13,7 @@ grids of a held catalog instead of rows streamed from per-class cells.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import Counter
 from functools import lru_cache
@@ -29,7 +30,7 @@ from extquot.complex_quotient import (
     variety_normal_form,
 )
 from extquot.partitions import _descending_partitions, enumerate_partitions
-from extquot.topology import BettiVector, DualityReport, PartitionDuality, betti
+from extquot.topology import BettiVector, ClassDuality, DualityReport, betti, write_grid
 
 
 def plain_cofactor_det(rows) -> int:
@@ -127,18 +128,19 @@ def _profile(components: list) -> tuple[int, Counter, Counter, Counter]:
 
 def duality_report_oracle(n: int, k: int) -> DualityReport:
     """The duality report built partition by partition: both sides of every
-    partition of n are decomposed and compared on their own."""
+    partition of n are decomposed and compared on their own, and each
+    partition is its own class."""
     _require_divides(k, n)
     k_dual = n // k
-    lines = []
+    partitions, classes = [], []
     for mu in enumerate_partitions(n):
         side = partition_components(ComplexComponent, mu, n, k)
         count, torus_dims, descriptors, varieties = _profile(side)
         count_dual, torus_dims_dual, descriptors_dual, varieties_dual = _profile(
             partition_components(ComplexComponent, mu, n, k_dual))
-        lines.append(
-            PartitionDuality(
-                partition=mu,
+        partitions.append((mu, len(classes)))
+        classes.append(
+            ClassDuality(
                 components=count,
                 components_dual=count_dual,
                 torus_dim=side[0].torus_dim,
@@ -153,9 +155,8 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
         k_dual=k_dual,
         betti_ranks=betti(n, k).ranks,
         betti_ranks_dual=betti(n, k_dual).ranks,
-        lines=tuple(lines),
-        counts_equal=all(line.components == line.components_dual for line in lines),
-        torus_counts_equal=all(line.torus_counts_equal for line in lines),
+        classes=tuple(classes),
+        partitions=tuple(partitions),
     )
 
 
@@ -175,6 +176,13 @@ def betti_from_catalog(catalog) -> BettiVector:
         for j in range(top + 1)
     )
     return BettiVector(n=catalog.n, k=catalog.k, ranks=ranks)
+
+
+def grid_text(rows, fmt: str) -> str:
+    """What :func:`extquot.topology.write_grid` writes for ``rows``."""
+    out = io.StringIO()
+    write_grid(out, rows, fmt)
+    return out.getvalue()
 
 
 def _catalog_grid(catalog: QuotientCatalog) -> list[list[str]]:

@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from conftest import cofactor_det, iter_gcd_distinct, two_kind_series_coefficients
+from conftest import cofactor_det, grid_text, iter_gcd_distinct, two_kind_series_coefficients
 from extquot import reference, topology
 from extquot.complex_quotient import (
     ComplexComponent,
@@ -42,7 +42,7 @@ def test_criterion_2_betti_table_k2():
     assert report.ok, report.mismatches
     assert report.cells_checked == 30 * 10
     computed = topology.betti_table(60, 2, even_only=True)
-    assert topology.render_grid(topology.betti_grid(computed), "csv") == reference.fixture_text("betti_k2")
+    assert grid_text(topology.betti_grid(computed), "csv") == reference.fixture_text("betti_k2")
     print(f"\nCRITERION 2 PASS: betti(n,2) matches all 30 even rows to n=60 exactly [{elapsed:.1f}s]")
 
 

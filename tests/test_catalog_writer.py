@@ -19,11 +19,11 @@ import pytest
 from click.testing import CliRunner
 
 import extquot
-from conftest import _catalog_csv_rows, _catalog_grid
+from conftest import _catalog_csv_rows, _catalog_grid, grid_text
+from extquot import cli
 from extquot.cli import FORMS, main, parse_partition
-from extquot.complex_quotient import ComplexComponent, QuotientCatalog, decompose, partition_components
+from extquot.complex_quotient import ComplexComponent, QuotientCatalog, decompose, partition_components, strata
 from extquot.numtheory import divisors
-from extquot.topology import render_grid
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -50,7 +50,7 @@ def _held_rendering(catalog, fmt: str) -> str:
     """The catalog as ``decompose`` printed it from a held catalog."""
     if fmt == "json":
         return json.dumps(catalog.to_json_dict(), indent=2) + "\n"
-    return render_grid(_catalog_csv_rows(catalog) if fmt == "csv" else _catalog_grid(catalog), fmt)
+    return grid_text(_catalog_csv_rows(catalog) if fmt == "csv" else _catalog_grid(catalog), fmt)
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -80,6 +80,26 @@ def test_streamed_lookup_matches_held_rendering(n, k, text):
                                           "--form", form, "--format", fmt])
             assert result.exit_code == 0, result.output
             assert result.stdout == _held_rendering(catalog, fmt), (form, fmt)
+
+
+def test_catalog_builds_strata_once_per_class(monkeypatch):
+    """The 627 partitions of 20 fall in 177 invariant classes; writing the
+    (20, 4) catalog builds the strata of each class once, in either form and
+    every format."""
+    calls = []
+
+    def counted(inv, n, k):
+        calls.append(inv)
+        return strata(inv, n, k)
+
+    monkeypatch.setattr(cli, "strata", counted)
+    runner = CliRunner()
+    for form in FORMS:
+        for fmt in FORMATS:
+            calls.clear()
+            result = runner.invoke(main, ["decompose", "--n", "20", "--k", "4", "--form", form, "--format", fmt])
+            assert result.exit_code == 0, result.output
+            assert len(calls) == len(set(calls)) == 177, (form, fmt)
 
 
 @pytest.mark.parametrize("fmt, first_line", [

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import extquot
 from extquot import cli, reference
 from extquot.cli import main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose
@@ -139,6 +143,23 @@ def test_duality_command(runner):
     payload = json.loads(result.output)
     assert payload[0]["betti_equal"] is True
     assert payload[0]["singularity_differences"] == ["2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
+
+
+def test_duality_reader_closing_early_exits_zero():
+    """``duality --n 36 | head -1``: no report is a mismatch, so the command
+    exits 0 although the reader stops before its 80 kB of output end."""
+    env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "extquot.cli", "duality", "--n", "36"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"n=36 k=1 <-> k'=36: betti = dual, counts = dual [ok]")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
+    finally:
+        proc.kill()
+        proc.wait()
+    assert stderr == b""
 
 
 def test_verify_fast_tables(runner):

@@ -27,24 +27,24 @@ MU_4444 = Partition.from_parts([4, 4, 4, 4])
 
 
 def test_enumerate_omegas_orders():
-    orders = sorted(s.omega.order for s in strata(MU_4444, 16, 4))
+    orders = sorted(s.omega.order for s in strata(invariants(MU_4444), 16, 4))
     assert orders == [1, 2, 4, 4]
-    orders = sorted(s.omega.order for s in strata(Partition.from_parts([3, 3]), 6, 6))
+    orders = sorted(s.omega.order for s in strata(invariants(Partition.from_parts([3, 3])), 6, 6))
     assert orders == [1, 3, 3]
-    assert [s.omega.order for s in strata(MU_2444, 16, 1)] == [1]
+    assert [s.omega.order for s in strata(invariants(MU_2444), 16, 1)] == [1]
 
 
 def test_enumerate_omegas_count_is_h():
     for n, k in ((12, 4), (16, 8), (18, 6)):
         for mu in enumerate_partitions(n):
-            labels = [s.omega for s in strata(mu, n, k)]
+            labels = [s.omega for s in strata(invariants(mu), n, k)]
             assert len(labels) == math.gcd(invariants(mu).g, k)
             assert labels[0].order == 1
 
 
 def test_enumerate_omegas_requires_k_dividing_n():
     with pytest.raises(ValueError):
-        strata(MU_2444, 16, 5)
+        strata(invariants(MU_2444), 16, 5)
 
 
 def test_omega_label_validation():

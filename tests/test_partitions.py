@@ -104,6 +104,14 @@ def test_invariant_relations_small_n():
             assert inv.b <= inv.c <= n
 
 
+def test_invariants_p_vector_counts_parts_above_each_multiplicity():
+    """p[i-1] is the number of distinct parts whose multiplicity exceeds i."""
+    for n in range(1, 21):
+        for mu in enumerate_partitions(n):
+            mults = Counter(mu.parts).values()
+            assert invariants(mu).p == tuple(sum(m > i for m in mults) for i in range(1, max(mults)))
+
+
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12))
 def test_invariant_relations_random_partitions(parts):
     mu = Partition.from_parts(parts)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import betti_from_catalog, duality_report_oracle, enumerated_class_counts
-from extquot import reference
+from conftest import betti_from_catalog, duality_report_oracle, enumerated_class_counts, grid_text
+from extquot import reference, topology
 from extquot.complex_quotient import ComplexComponent, component_count_from_gcd, decompose
 from extquot.numtheory import divisor_sigma, divisors
-from extquot.partitions import partitions_pairs
+from extquot.partitions import partition_count, partitions_pairs
 from extquot.real_quotient import RealComponent
 from extquot.topology import (
     betti,
@@ -21,7 +21,6 @@ from extquot.topology import (
     ktheory_grid,
     ktheory_table,
     ktheory_ranks,
-    render_grid,
     top_betti,
 )
 
@@ -114,7 +113,7 @@ def test_duality_report_self_dual():
     report = duality_report(16, 4)
     assert report.k_dual == 4 and report.ok
     assert not report.partitions_with_singularity_differences()
-    assert all(line.descriptor_singularities_equal for line in report.lines)
+    assert all(c.descriptor_singularities_equal for c in report.classes)
 
 
 def test_duality_report_6_1_singularity_differences():
@@ -124,13 +123,14 @@ def test_duality_report_6_1_singularity_differences():
     assert diffs == ["2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
     # at the level of raw group data, 3+3 differs too (A^1 vs A^1 / +-1),
     # but the quotient varieties there are isomorphic
-    descriptor_diffs = [str(l.partition) for l in report.lines if not l.descriptor_singularities_equal]
+    descriptor_diffs = [str(mu) for mu, label in report.partitions
+                        if not report.classes[label].descriptor_singularities_equal]
     assert descriptor_diffs == ["3+3", "2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
 
 
 def test_duality_report_matches_per_partition_oracle():
     """The report shared per invariant class equals the per-partition loop,
-    line for line and field for field.  The divisors of each n are visited
+    partition for partition and field for field.  The divisors of each n are visited
     in a shuffled order that mixes k and n/k, so a memo shared across calls
     cannot make an answer depend on the order of the calls."""
     rng = random.Random(20161018)
@@ -144,9 +144,28 @@ def test_duality_report_matches_per_partition_oracle():
             assert fast.betti_ranks_dual == slow.betti_ranks_dual
             assert (fast.counts_equal, fast.torus_counts_equal) == (slow.counts_equal, slow.torus_counts_equal)
             assert fast.ok == slow.ok
-            assert len(fast.lines) == len(slow.lines)
-            for line, expected in zip(fast.lines, slow.lines):
-                assert line == expected, (n, k, str(expected.partition))
+            assert [mu for mu, _ in fast.partitions] == [mu for mu, _ in slow.partitions]
+            for (mu, label), (_, expected) in zip(fast.partitions, slow.partitions):
+                assert fast.classes[label] == slow.classes[expected], (n, k, str(mu))
+
+
+def test_duality_report_builds_no_component(monkeypatch):
+    """The report profiles the strata of each class directly."""
+
+    def refuse(*args):
+        raise AssertionError("built a component")
+
+    monkeypatch.setattr(ComplexComponent, "from_stratum", refuse)
+    topology._invariant_classes.cache_clear()
+    topology._side_profiles.cache_clear()
+    for k in divisors(24):
+        assert duality_report(24, k).ok
+
+
+def test_duality_reports_share_one_partition_labelling():
+    reports = [duality_report(24, k) for k in divisors(24)]
+    assert len(reports[0].partitions) == partition_count(24)
+    assert all(report.partitions is reports[0].partitions for report in reports)
 
 
 def test_square_free_answers_do_not_vary_with_k():
@@ -162,16 +181,16 @@ def test_betti_table_rows():
 
 def test_render_betti_csv_round_trips_reference_table():
     vectors = betti_table(45, 1)
-    assert render_grid(betti_grid(vectors), "csv") == reference.fixture_text("betti_k1")
+    assert grid_text(betti_grid(vectors), "csv") == reference.fixture_text("betti_k1")
 
 
 def test_render_ktheory_csv_round_trips_reference_table():
     rows = ktheory_table(20)
-    assert render_grid(ktheory_grid(rows), "csv") == reference.fixture_text("ktheory")
+    assert grid_text(ktheory_grid(rows), "csv") == reference.fixture_text("ktheory")
 
 
 def test_render_empty_and_markdown():
-    assert render_grid(betti_grid([]), "csv") == "n\n"
-    text = render_grid(betti_grid(betti_table(6, 1)), "markdown")
+    assert grid_text(betti_grid([]), "csv") == "n\n"
+    text = grid_text(betti_grid(betti_table(6, 1)), "markdown")
     assert text.splitlines()[0] == "| n | b_0 | b_1 | b_2 |"
     assert "| 6 | 20 | 9 | 1 |" in text
