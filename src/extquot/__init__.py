@@ -17,7 +17,6 @@ from .numtheory import (
     UnimodularMatrix,
     divisor_sigma,
     divisors,
-    gcd_many,
     pillai,
     pillai_via_totient,
     totient,
@@ -41,7 +40,7 @@ from .topology import (
     DualityReport,
     KTheoryRanks,
     betti,
-    duality_report,
+    duality_reports,
     euler_characteristic,
     ktheory_ranks,
     top_betti,
@@ -67,10 +66,9 @@ __all__ = [
     "decompose",
     "divisor_sigma",
     "divisors",
-    "duality_report",
+    "duality_reports",
     "enumerate_partitions",
     "euler_characteristic",
-    "gcd_many",
     "invariants",
     "ktheory_ranks",
     "partition_components",

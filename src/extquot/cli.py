@@ -22,16 +22,15 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 import click
 
 from . import reference, topology
 from .complex_quotient import ComplexComponent, Stratum, catalog_rows, partition_components, strata
-from .numtheory import divisors
 from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants, partition_count
 from .real_quotient import RealComponent
-from .topology import betti, duality_report, euler_characteristic, ktheory_ranks, write_grid
+from .topology import betti, duality_reports, euler_characteristic, ktheory_ranks, write_grid
 
 FORMS = {"complex": ComplexComponent, "real": RealComponent}
 # A full catalog is streamed, so this bounds the size of its output: about
@@ -39,6 +38,9 @@ FORMS = {"complex": ComplexComponent, "real": RealComponent}
 # labels every partition of n with its class.  Larger ones are refused;
 # single-partition lookups are not limited.
 MAX_CATALOG_ROWS = 1_000_000
+# Up to this n a refusal states the exact count, which takes milliseconds at
+# n = 1,000; above it the count is not computed.
+EXACT_COUNT_MAX_N = 1_000
 
 
 def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None:
@@ -47,6 +49,19 @@ def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None
         raise click.UsageError(f"k={k} must divide n={n}")
     if partition is not None and partition.n != n:
         raise click.UsageError(f"partition {partition.run_length_str()} sums to {partition.n}, not n={n}")
+
+
+def _count_unless_oversized(n: int, count: Callable[[], int]) -> int | None:
+    """``count()``, a count of catalog rows or partitions of n that is at
+    least P(n); or None, counting nothing, when n > EXACT_COUNT_MAX_N and
+    P(n) > MAX_CATALOG_ROWS.
+
+    P is non-decreasing, so Euler's recurrence runs only until the first m
+    with P(m) over the limit, m = 61 for the default limit.
+    """
+    if n > EXACT_COUNT_MAX_N and any(partition_count(m) > MAX_CATALOG_ROWS for m in range(n + 1)):
+        return None
+    return count()
 
 
 def parse_partition(text: str) -> Partition:
@@ -269,10 +284,13 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
     """Print the component catalog of the (n, k) extended quotient."""
     partition = parse_partition(partition_text) if partition_text else None
     _check_arguments(n, k, partition)
-    if partition is None and (rows := catalog_rows(n, k)) > MAX_CATALOG_ROWS:
-        click.echo(f"Error: the (n={n}, k={k}) catalog has {rows:,} rows, more than the "
-                   f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
-        ctx.exit(2)
+    if partition is None:
+        rows = _count_unless_oversized(n, lambda: catalog_rows(n, k))
+        if rows is None or rows > MAX_CATALOG_ROWS:
+            amount = "more rows than" if rows is None else f"{rows:,} rows, more than"
+            click.echo(f"Error: the (n={n}, k={k}) catalog has {amount} the "
+                       f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
+            ctx.exit(2)
     with _stdout() as out:
         _write_catalog(out, form, n, k, [partition] if partition else enumerate_partitions(n), fmt)
 
@@ -342,11 +360,13 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
     """Check Langlands duality for every divisor k of n."""
     if n < 1:
         raise click.UsageError("n must be positive")
-    if (count := partition_count(n)) > MAX_CATALOG_ROWS:
-        click.echo(f"Error: duality for n={n} compares all {count:,} partitions of {n}, more than "
+    count = _count_unless_oversized(n, lambda: partition_count(n))
+    if count is None or count > MAX_CATALOG_ROWS:
+        amount = "all" if count is None else f"all {count:,}"
+        click.echo(f"Error: duality for n={n} compares {amount} partitions of {n}, more than "
                    f"the {MAX_CATALOG_ROWS:,} a report may hold", err=True)
         ctx.exit(2)
-    reports = [duality_report(n, k) for k in divisors(n)]
+    reports = duality_reports(n)
     failed = any(not report.ok for report in reports)
     with _stdout() as out:
         if fmt == "json":

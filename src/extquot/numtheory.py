@@ -11,23 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Sequence
-
-
-def gcd_many(values: Iterable[int]) -> int:
-    """Greatest common divisor of a nonempty collection of nonnegative integers.
-
-    At least one value must be nonzero.
-    """
-    vals = list(values)
-    if not vals:
-        raise ValueError("gcd_many needs at least one value")
-    if any(v < 0 for v in vals):
-        raise ValueError("gcd_many expects nonnegative values")
-    g = reduce(math.gcd, vals)
-    if g == 0:
-        raise ValueError("gcd_many of all-zero values is undefined")
-    return g
+from typing import Sequence
 
 
 def pillai(a: int) -> int:

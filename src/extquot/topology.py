@@ -9,8 +9,9 @@ distinct-part count) class, which is counted without enumerating partitions.
 K-theory ranks are the even/odd Betti sums (Chern character over C), and the
 Euler characteristic for k = 1 equals the divisor sum of n.
 
-Duality reports compare the (n, k) and (n, n/k) quotients once per invariant
-class (g, m, b, c, p) of partitions of n, not once per partition.
+Duality reports compare the (n, k) and (n, n/k) quotients for every divisor k
+of n in one call, once per invariant class (g, m, b, c, p) of partitions of n,
+not once per partition.  What the reports share lives only for that call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence, TextIO
 
 from .complex_quotient import (
@@ -111,7 +111,6 @@ class ClassDuality:
 
     components: int
     components_dual: int
-    torus_dim: int
     torus_counts_equal: bool
     descriptor_singularities_equal: bool
     variety_singularities_equal: bool
@@ -151,40 +150,22 @@ class DualityReport:
         return [mu for mu, label in self.partitions if not self.classes[label].variety_singularities_equal]
 
 
-@lru_cache(maxsize=2)  # the reports for every divisor of one n read the same entry
-def _invariant_classes(n: int) -> tuple[tuple[tuple[Partition, int], ...], tuple[PartitionInvariants, ...]]:
-    """Every partition of n in enumeration order with the index of its
-    invariant class, and the invariants of each class.  ``invariants`` runs
-    once per partition."""
-    index: dict[PartitionInvariants, int] = {}
-    labelled = []
-    for mu in enumerate_partitions(n):
-        labelled.append((mu, index.setdefault(invariants(mu), len(index))))
-    return tuple(labelled), tuple(index)
-
-
-def _profile(layers: list[Stratum]) -> tuple[int, int, Counter, Counter, Counter]:
-    """One side of a class's duality comparison: its component count, its
-    torus dimension and the multisets of torus dimensions, canonical
-    singularities and variety normal forms, each weighted by multiplicity."""
+def _profile(layers: list[Stratum]) -> tuple[int, Counter, Counter, Counter]:
+    """One side of a class's duality comparison: its component count and the
+    multisets of torus dimensions, canonical singularities and variety
+    normal forms, each weighted by multiplicity."""
     torus_dims, descriptors, varieties = Counter(), Counter(), Counter()
     for s in layers:
         singularity = s.singularity
         torus_dims[s.torus_dim] += s.multiplicity
         descriptors[canonical_singularity(singularity)] += s.multiplicity
         varieties[variety_normal_form(singularity)] += s.multiplicity
-    return sum(torus_dims.values()), layers[0].torus_dim, torus_dims, descriptors, varieties
+    return sum(torus_dims.values()), torus_dims, descriptors, varieties
 
 
-@lru_cache(maxsize=16)  # no n small enough to report on has more divisors
-def _side_profiles(n: int, k: int) -> tuple[tuple[int, int, Counter, Counter, Counter], ...]:
-    """The profile of every invariant class of n in the (n, k) quotient, in
-    class order.  The reports for k and for n/k both read it."""
-    return tuple(_profile(strata(inv, n, k)) for inv in _invariant_classes(n)[1])
-
-
-def duality_report(n: int, k: int) -> DualityReport:
-    """Compare the (n, k) quotient with its dual (n, n/k) stratum by stratum.
+def duality_reports(n: int) -> list[DualityReport]:
+    """Compare the (n, k) quotient with its dual (n, n/k) stratum by stratum,
+    for every divisor k of n in increasing order.
 
     Betti vectors, per-partition component counts and torus-dimension
     histograms always agree.  The singularity structure may differ; it is
@@ -192,27 +173,28 @@ def duality_report(n: int, k: int) -> DualityReport:
     the level of the underlying varieties (quasi-reflections discarded), and
     partitions are flagged when the varieties genuinely differ.
 
-    Each comparison is made once per invariant class, from side profiles
-    that the report for n/k reuses; the reports for every divisor of n share
-    one tuple of labelled partitions.
+    The partitions of n are classified once, each side (n, k) is profiled
+    once per invariant class and read by the reports for k and n/k, and
+    every report shares one tuple of labelled partitions.
     """
-    _require_divides(k, n)
-    k_dual = n // k
-    return DualityReport(
-        n=n,
-        k=k,
-        k_dual=k_dual,
-        betti_ranks=betti(n, k).ranks,
-        betti_ranks_dual=betti(n, k_dual).ranks,
-        classes=tuple(
-            ClassDuality(count, count_dual, torus_dim, torus_dims == torus_dims_dual,
+    if n < 1:
+        raise ValueError("duality_reports needs a positive integer")
+    index: dict[PartitionInvariants, int] = {}
+    partitions = tuple((mu, index.setdefault(invariants(mu), len(index))) for mu in enumerate_partitions(n))
+    ks = divisors(n)
+    sides = {k: (betti(n, k).ranks, [_profile(strata(inv, n, k)) for inv in index]) for k in ks}
+    reports = []
+    for k in ks:
+        (ranks, profiles), (ranks_dual, profiles_dual) = sides[k], sides[n // k]
+        classes = tuple(
+            ClassDuality(count, count_dual, torus_dims == torus_dims_dual,
                          descriptors == descriptors_dual, varieties == varieties_dual)
-            for (count, torus_dim, torus_dims, descriptors, varieties),
-                (count_dual, _, torus_dims_dual, descriptors_dual, varieties_dual)
-            in zip(_side_profiles(n, k), _side_profiles(n, k_dual))
-        ),
-        partitions=_invariant_classes(n)[0],
-    )
+            for (count, torus_dims, descriptors, varieties),
+                (count_dual, torus_dims_dual, descriptors_dual, varieties_dual) in zip(profiles, profiles_dual)
+        )
+        reports.append(DualityReport(n=n, k=k, k_dual=n // k, betti_ranks=ranks, betti_ranks_dual=ranks_dual,
+                                     classes=classes, partitions=partitions))
+    return reports
 
 
 # ---------------------------------------------------------------------------

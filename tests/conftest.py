@@ -134,8 +134,7 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
     k_dual = n // k
     partitions, classes = [], []
     for mu in enumerate_partitions(n):
-        side = partition_components(ComplexComponent, mu, n, k)
-        count, torus_dims, descriptors, varieties = _profile(side)
+        count, torus_dims, descriptors, varieties = _profile(partition_components(ComplexComponent, mu, n, k))
         count_dual, torus_dims_dual, descriptors_dual, varieties_dual = _profile(
             partition_components(ComplexComponent, mu, n, k_dual))
         partitions.append((mu, len(classes)))
@@ -143,7 +142,6 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
             ClassDuality(
                 components=count,
                 components_dual=count_dual,
-                torus_dim=side[0].torus_dim,
                 torus_counts_equal=torus_dims == torus_dims_dual,
                 descriptor_singularities_equal=descriptors == descriptors_dual,
                 variety_singularities_equal=varieties == varieties_dual,

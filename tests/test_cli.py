@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import extquot
-from extquot import cli, reference
+from extquot import cli, reference, topology
 from extquot.cli import main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose
 from extquot.partitions import Partition, partition_count
@@ -382,3 +382,49 @@ def test_duality_partition_limit_is_inclusive(runner, monkeypatch):
     result = runner.invoke(main, ["duality", "--n", "12"])
     assert result.exit_code == 2
     assert "77 partitions" in result.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["duality", "--n", "1000000"],
+    ["decompose", "--n", "1000000", "--k", "1"],
+    ["decompose", "--n", "1000000", "--k", "1", "--form", "real"],
+])
+def test_oversized_n_is_refused_without_counting_past_1000(runner, no_enumeration, monkeypatch, args):
+    """P is non-decreasing, so an n with more partitions than the limit is
+    refused without running the partition recurrence up to n."""
+
+    def bounded(n):
+        if n > 1000:
+            raise AssertionError(f"ran the partition recurrence to {n}")
+        return partition_count(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("extquot") and hasattr(module, "partition_count"):
+            monkeypatch.setattr(module, "partition_count", bounded)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    message = result.stderr.strip()
+    assert "\n" not in message
+    assert "1,000,000" in message
+
+
+def test_each_duality_run_does_its_own_work_once(runner, monkeypatch):
+    """A run classifies each partition of n once and builds each class's
+    strata once per divisor, and a second run in the same process does all
+    of that again rather than reading it from the first."""
+    calls = {"invariants": 0, "strata": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(topology, name, counted(name, getattr(topology, name)))
+    for _ in range(2):
+        calls.update(invariants=0, strata=0)
+        assert runner.invoke(main, ["duality", "--n", "24"]).exit_code == 0
+        # P(24) partitions; 335 invariant classes for each of the 8 divisors of 24
+        assert calls == {"invariants": 1575, "strata": 335 * 8}

@@ -11,28 +11,12 @@ from extquot.numtheory import (
     det_exact,
     divisor_sigma,
     divisors,
-    gcd_many,
     pillai,
     pillai_via_totient,
     totient,
     two_adic_valuation,
     unimodular_completion,
 )
-
-
-def test_gcd_many_examples():
-    assert gcd_many([6]) == 6
-    assert gcd_many([2, 2, 2, 2, 4, 4]) == 2
-    assert gcd_many([4, 6, 10]) == 2
-
-
-def test_gcd_many_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcd_many([])
-    with pytest.raises(ValueError):
-        gcd_many([0, 0, 0])
-    with pytest.raises(ValueError):
-        gcd_many([2, -4])
 
 
 def test_pillai_small_values():
