@@ -8,10 +8,10 @@ that is missing, empty or lacks a required column.  Output is deterministic
 across runs, and the exit status never depends on the reader: one that
 closes the pipe early only ends the printing.
 
-``decompose`` writes each catalog row as soon as it is produced.  It builds
-the strata of each invariant class (g, m, b, c, p) once, and holds only
-those and the class's rendered rows, so its memory does not grow with the
-number of rows.
+``decompose`` writes each catalog row as soon as it is produced.  The
+enumerator keys each partition by the gcd of its parts and its sorted
+multiplicities, which fix (g, m, b, c, p); each class's invariants, strata
+and cells are computed and held once, so memory does not grow with rows.
 """
 
 from __future__ import annotations
@@ -22,13 +22,13 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import chain
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
 import click
 
 from . import reference, topology
 from .complex_quotient import ComplexComponent, Stratum, catalog_rows, partition_components, strata
-from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants, partition_count
+from .partitions import Partition, classified_partitions, invariants, partition_count
 from .real_quotient import RealComponent
 from .topology import betti, duality_reports, euler_characteristic, ktheory_ranks, write_grid
 
@@ -198,47 +198,50 @@ _CELLS = {
 }
 
 
-def _catalog_rows(component_type: type, n: int, k: int, partitions: Iterable[Partition],
+def _catalog_rows(component_type: type, n: int, k: int, classified: Iterable[tuple[Partition, Hashable]],
                   fmt: str) -> Iterator[list[str]]:
     """The field names of a row, then the cells of every row of the catalog
-    of ``partitions``, in omega order within each partition.
+    of the partitions in ``classified``, in omega order within each
+    partition.  Each comes with a key it shares exactly with its class.
 
     Only a row's ``run_fields`` depend on more than its partition's
-    invariant class and omega.  So the first partition of each class builds
-    the class's strata once, with its components' cells, and every partition
-    of the class copies those cells and renders only its own run-order
-    cells.  The classes live for one call.
+    invariant class and omega.  So the first partition of each class computes
+    the class's invariants and strata once, with its components' cells, and
+    the class keeps all of them except the run-order ones; every later
+    partition copies them and renders only its own run-order cells.  The
+    classes live for one call.
     """
     cells, cell = _CELLS[fmt]
-    classes: dict[PartitionInvariants, list[tuple[Stratum, list[str]]]] = {}
-    slots: list[tuple[int, str]] = []
-    for mu in partitions:
-        inv = invariants(mu)
-        rows = classes.get(inv)
+    classes: dict[Hashable, list[tuple[Stratum, list[str]]]] = {}
+    slots: dict[int, str] = {}
+    for mu, key in classified:
+        rows = classes.get(key)
         if rows is None:
-            layers = strata(inv, n, k)
+            layers = strata(invariants(mu), n, k)
             named = [cells(component_type.from_stratum(s, mu), k) for s in layers]
             if not classes:
-                names = [key for key, _ in named[0]]
                 run_keys = component_type.run_fields(layers[0], mu)
-                slots = [(i, key) for i, key in enumerate(names) if key in run_keys]
-                yield names
-            rows = classes[inv] = [(s, [text for _, text in row]) for s, row in zip(layers, named)]
+                slots = {i: name for i, (name, _) in enumerate(named[0]) if name in run_keys}
+                yield [name for name, _ in named[0]]
+            yield from ([text for _, text in row] for row in named)
+            classes[key] = [(s, ["" if i in slots else text for i, (_, text) in enumerate(row)])
+                            for s, row in zip(layers, named)]
+            continue
         for s, rendered in rows:
             run = component_type.run_fields(s, mu)
             row = rendered.copy()
-            for i, key in slots:
-                row[i] = cell(key, run[key])
+            for i, name in slots.items():
+                row[i] = cell(name, run[name])
             yield row
 
 
-def _write_catalog(out: TextIO, form: str, n: int, k: int, partitions: Iterable[Partition],
+def _write_catalog(out: TextIO, form: str, n: int, k: int, classified: Iterable[tuple[Partition, Hashable]],
                    fmt: str) -> None:
-    """Write the catalog of ``partitions`` to ``out`` row by row: JSON laid
-    out as ``json.dumps(QuotientCatalog.to_json_dict(), indent=2)`` lays it
-    out, CSV with a column per ``to_dict`` field and the singularity's fields
-    in its place, or a markdown grid with the columns of _MARKDOWN_HEADERS."""
-    rows = _catalog_rows(FORMS[form], n, k, partitions, fmt)
+    """Write the catalog of ``classified``, (partition, class key) pairs, to
+    ``out`` row by row: JSON as ``json.dumps(..., indent=2)`` lays out n, k,
+    form and the entries' ``to_dict``, CSV with a column per ``to_dict`` field
+    and the singularity's fields in its place, or markdown as _MARKDOWN_HEADERS."""
+    rows = _catalog_rows(FORMS[form], n, k, classified, fmt)
     names = next(rows)
     if fmt != "json":
         header = [_MARKDOWN_HEADERS[key] for key in names] if fmt == "markdown" else names
@@ -292,7 +295,7 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
                        f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
             ctx.exit(2)
     with _stdout() as out:
-        _write_catalog(out, form, n, k, [partition] if partition else enumerate_partitions(n), fmt)
+        _write_catalog(out, form, n, k, [(partition, None)] if partition else classified_partitions(n), fmt)
 
 
 @main.command(name="betti")

@@ -103,14 +103,6 @@ class QuotientCatalog:
     def total_components(self) -> int:
         return sum(entry.multiplicity for entry in self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "form": self.form,
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
-
 
 class Stratum(NamedTuple):
     """What both forms share for the stratum (class, omega) of the (n, k)

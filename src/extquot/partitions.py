@@ -13,13 +13,17 @@ parts.  The invariants of interest are
 Every downstream formula depends on the partition only through these numbers,
 so representative permutations are never materialized, and sums that need
 only (g, b) count the partitions per class without walking them.
+
+The enumerator steps from partition to partition on runs, and keys each by
+the gcd of its parts and its sorted multiplicities, a key in bijection with
+(g, m, b, c, p): catalogs and duality reports compute invariants per class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator
 
@@ -94,41 +98,13 @@ def invariants(mu: Partition) -> PartitionInvariants:
     """
     if not mu.runs:
         raise ValueError("the empty partition has no invariants")
-    parts = [p for p, _ in mu.runs]
     mults = [m for _, m in mu.runs]
-    g = reduce(math.gcd, parts)
-    m = reduce(math.gcd, mults)
     p = [0] * (max(mults) - 1)
     for mm in mults:  # a part of multiplicity mm counts at every level i < mm
         for i in range(mm - 1):
             p[i] += 1
-    return PartitionInvariants(g=g, m=m, b=len(mults), c=sum(mults), p=tuple(p))
-
-
-def _descending_partitions(n: int) -> Iterator[list[int]]:
-    """Yield each partition of n >= 1 as a descending list, in decreasing
-    lexicographic order.
-
-    The same list object is reused between yields; callers must not keep or
-    mutate it.
-    """
-    a = [n]
-    while True:
-        yield a
-        i = len(a) - 1
-        while i >= 0 and a[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        x = a[i] - 1
-        m = len(a) - i
-        del a[i + 1 :]
-        a[i] = x
-        q, r = divmod(m, x)
-        if q:
-            a.extend([x] * q)
-        if r:
-            a.append(r)
+    g = math.gcd(*[j for j, _ in mu.runs])
+    return PartitionInvariants(g=g, m=math.gcd(*mults), b=len(mults), c=sum(mults), p=tuple(p))
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -143,20 +119,42 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n == 0:
         yield Partition(0, ())
         return
-    for desc in _descending_partitions(n):
-        runs: list[tuple[int, int]] = []
-        prev = desc[0]
-        count = 0
-        for x in desc:
-            if x == prev:
-                count += 1
-            else:
-                runs.append((prev, count))
-                prev = x
-                count = 1
-        runs.append((prev, count))
-        runs.reverse()
-        yield Partition(n, tuple(runs))
+    for mu, _ in classified_partitions(n):
+        yield mu
+
+
+def classified_partitions(n: int) -> Iterator[tuple[Partition, tuple[int, ...]]]:
+    """Yield every partition of n >= 1 in the order of enumerate_partitions,
+    with its class key: the gcd of its parts, then its sorted multiplicities.
+
+    Partitions share a key exactly when they share their invariants: b, c
+    and m are the count, sum and gcd of the multiplicities, p_i counts those
+    above i, and p gives back how many equal each i.  The distinct parts are
+    held descending beside their multiplicities; the step to the next
+    partition takes away the 1s and one part x > 1, the smallest, and puts
+    their sum back as parts x - 1 and a smaller remainder, so it touches at
+    most the last three runs however many parts there are.
+    """
+    if n < 1:
+        raise ValueError("classified_partitions needs a positive integer")
+    parts, mults = [n], [1]
+    while True:
+        yield Partition(n, tuple(zip(parts[::-1], mults[::-1]))), (math.gcd(*parts), *sorted(mults))
+        ones = mults.pop() if parts[-1] == 1 else 0
+        if ones:
+            parts.pop()
+        if not parts:
+            return
+        x = parts[-1]
+        mults[-1] -= 1
+        if not mults[-1]:
+            del parts[-1], mults[-1]
+        q, r = divmod(x + ones, x - 1)
+        parts.append(x - 1)
+        mults.append(q)
+        if r:
+            parts.append(r)
+            mults.append(1)
 
 
 _PCOUNT = [1]  # P(0)

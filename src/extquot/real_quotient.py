@@ -46,8 +46,8 @@ class RealComponent(Component):
         orientability, which list or read the runs in order of part size."""
         return {
             **super().run_fields(s, mu),
-            "fiber_simplex_dims": tuple(m - 1 for _, m in mu.runs),
-            "join_counts": tuple(m // s.d for _, m in mu.runs),
+            "fiber_simplex_dims": tuple([m - 1 for _, m in mu.runs]),
+            "join_counts": tuple([m // s.d for _, m in mu.runs]),
             "bundle_orientable": bundle_orientable_k1(mu) if s.k == 1 else None,
         }
 
@@ -86,9 +86,9 @@ def bundle_orientable_k1(mu: Partition) -> bool:
     two vectors independence means: second vector nonzero and different from
     the first.
     """
-    g = math.gcd(*(j for j, _ in mu.runs))
-    parts_vec = tuple(j // g % 2 for j, _ in mu.runs)
-    mults_vec = tuple((m - 1) % 2 for _, m in mu.runs)
+    g = math.gcd(*[j for j, _ in mu.runs])
+    parts_vec = [j // g % 2 for j, _ in mu.runs]
+    mults_vec = [(m - 1) % 2 for _, m in mu.runs]
     independent = any(mults_vec) and mults_vec != parts_vec
     return not independent
 

@@ -31,8 +31,7 @@ from .complex_quotient import (
     _require_divides,
 )
 from .numtheory import divisors
-from .partitions import (Partition, PartitionInvariants, enumerate_partitions, gcd_distinct_counts, invariants,
-                         partitions_pairs)
+from .partitions import Partition, classified_partitions, gcd_distinct_counts, invariants, partitions_pairs
 
 
 @dataclass(frozen=True)
@@ -150,16 +149,21 @@ class DualityReport:
         return [mu for mu, label in self.partitions if not self.classes[label].variety_singularities_equal]
 
 
-def _profile(layers: list[Stratum]) -> tuple[int, Counter, Counter, Counter]:
+def _profile(layers: list[Stratum], forms: dict) -> tuple[int, Counter, Counter, Counter]:
     """One side of a class's duality comparison: its component count and the
     multisets of torus dimensions, canonical singularities and variety
-    normal forms, each weighted by multiplicity."""
+    normal forms, each weighted by multiplicity.  ``forms`` maps (p, d) to
+    the two normal forms of A^(c-b) / C_d, which (p, c - b = sum(p), d) fix."""
     torus_dims, descriptors, varieties = Counter(), Counter(), Counter()
     for s in layers:
-        singularity = s.singularity
+        key = (s.invariants.p, s.d)
+        if key not in forms:
+            singularity = s.singularity
+            forms[key] = canonical_singularity(singularity), variety_normal_form(singularity)
+        descriptor, variety = forms[key]
         torus_dims[s.torus_dim] += s.multiplicity
-        descriptors[canonical_singularity(singularity)] += s.multiplicity
-        varieties[variety_normal_form(singularity)] += s.multiplicity
+        descriptors[descriptor] += s.multiplicity
+        varieties[variety] += s.multiplicity
     return sum(torus_dims.values()), torus_dims, descriptors, varieties
 
 
@@ -173,16 +177,18 @@ def duality_reports(n: int) -> list[DualityReport]:
     the level of the underlying varieties (quasi-reflections discarded), and
     partitions are flagged when the varieties genuinely differ.
 
-    The partitions of n are classified once, each side (n, k) is profiled
-    once per invariant class and read by the reports for k and n/k, and
-    every report shares one tuple of labelled partitions.
+    Each class's invariants are computed once, each side (n, k) is profiled
+    once per class for the reports for k and n/k, each distinct singularity
+    is built and normalized once, and all reports share one labelled tuple.
     """
     if n < 1:
         raise ValueError("duality_reports needs a positive integer")
-    index: dict[PartitionInvariants, int] = {}
-    partitions = tuple((mu, index.setdefault(invariants(mu), len(index))) for mu in enumerate_partitions(n))
+    index: dict[tuple, tuple[int, Partition]] = {}  # class key -> label, first partition
+    partitions = tuple((mu, index.setdefault(key, (len(index), mu))[0]) for mu, key in classified_partitions(n))
+    invariant_classes = [invariants(mu) for _, mu in index.values()]
     ks = divisors(n)
-    sides = {k: (betti(n, k).ranks, [_profile(strata(inv, n, k)) for inv in index]) for k in ks}
+    forms: dict = {}
+    sides = {k: (betti(n, k).ranks, [_profile(strata(inv, n, k), forms) for inv in invariant_classes]) for k in ks}
     reports = []
     for k in ks:
         (ranks, profiles), (ranks_dual, profiles_dual) = sides[k], sides[n // k]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterator
@@ -23,13 +24,14 @@ from typing import Iterator
 from extquot.cli import _flag, _omega_str, _variety_str
 from extquot.complex_quotient import (
     ComplexComponent,
+    CyclicSingularity,
     QuotientCatalog,
     _require_divides,
     canonical_singularity,
     partition_components,
     variety_normal_form,
 )
-from extquot.partitions import _descending_partitions, enumerate_partitions
+from extquot.partitions import enumerate_partitions
 from extquot.topology import BettiVector, ClassDuality, DualityReport, betti, write_grid
 
 
@@ -91,11 +93,37 @@ def pillai_gcd_sum(a: int) -> int:
     return sum(map(math.gcd, repeat(a), range(a)))
 
 
+def descending_partitions(n: int) -> Iterator[list[int]]:
+    """Yield each partition of n >= 1 as a descending list, in decreasing
+    lexicographic order.
+
+    The same list object is reused between yields; callers must not keep or
+    mutate it.
+    """
+    a = [n]
+    while True:
+        yield a
+        i = len(a) - 1
+        while i >= 0 and a[i] == 1:
+            i -= 1
+        if i < 0:
+            return
+        x = a[i] - 1
+        m = len(a) - i
+        del a[i + 1 :]
+        a[i] = x
+        q, r = divmod(m, x)
+        if q:
+            a.extend([x] * q)
+        if r:
+            a.append(r)
+
+
 def iter_gcd_distinct(n: int):
     """Yield (gcd of parts, number of distinct parts) for every partition of
     n >= 1, walking every partition in enumeration order."""
     gcd = math.gcd
-    for a in _descending_partitions(n):
+    for a in descending_partitions(n):
         g = 0
         b = 0
         prev = 0
@@ -124,6 +152,31 @@ def _profile(components: list) -> tuple[int, Counter, Counter, Counter]:
         descriptors[canonical_singularity(e.singularity)] += e.multiplicity
         varieties[variety_normal_form(e.singularity)] += e.multiplicity
     return sum(torus_dims.values()), torus_dims, descriptors, varieties
+
+
+def variety_normal_form_oracle(s: CyclicSingularity) -> CyclicSingularity:
+    """The normal form of the variety A^ambient_dim / C_group_order, from the
+    definitions.
+
+    The group is held as the set of its elements' exponents per coordinate,
+    as fractions mod 1, so the kernel of the action drops out.  While some
+    element moves exactly one coordinate (a quasi-reflection), the variety is
+    rewritten as the quotient by the subgroup they generate: y_i = x_i^r_i,
+    with r_i the number of quasi-reflections moving coordinate i plus one,
+    on which each element acts by r_i times its exponents.  The normal form
+    is the smallest sorted weight tuple over the generators of what is left.
+    """
+    group = {tuple(Fraction(j * w, s.group_order) % 1 for w in s.weights) for j in range(s.group_order)}
+    while True:
+        reflections = [g for g in group if sum(1 for e in g if e) == 1]
+        if not reflections:
+            break
+        r = [1 + sum(1 for g in reflections if g[i]) for i in range(s.ambient_dim)]
+        group = {tuple(e * r_i % 1 for e, r_i in zip(g, r)) for g in group}
+    order = len(group)
+    generators = [g for g in group if math.lcm(*(e.denominator for e in g)) == order]
+    weights = min(tuple(sorted(int(e * order) for e in g)) for g in generators)
+    return CyclicSingularity(s.ambient_dim, order, weights)
 
 
 def duality_report_oracle(n: int, k: int) -> DualityReport:
@@ -181,6 +234,12 @@ def grid_text(rows, fmt: str) -> str:
     out = io.StringIO()
     write_grid(out, rows, fmt)
     return out.getvalue()
+
+
+def catalog_json_dict(catalog: QuotientCatalog) -> dict:
+    """The object ``decompose --format json`` lays out for a held catalog."""
+    return {"n": catalog.n, "k": catalog.k, "form": catalog.form,
+            "entries": [entry.to_dict() for entry in catalog.entries]}
 
 
 def _catalog_grid(catalog: QuotientCatalog) -> list[list[str]]:

@@ -19,11 +19,13 @@ import pytest
 from click.testing import CliRunner
 
 import extquot
-from conftest import _catalog_csv_rows, _catalog_grid, grid_text
-from extquot import cli
+from conftest import _catalog_csv_rows, _catalog_grid, catalog_json_dict, grid_text
+from extquot import cli, real_quotient
 from extquot.cli import FORMS, main, parse_partition
 from extquot.complex_quotient import ComplexComponent, QuotientCatalog, decompose, partition_components, strata
 from extquot.numtheory import divisors
+from extquot.partitions import invariants, partition_count
+from extquot.real_quotient import bundle_orientable_k1
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -49,7 +51,7 @@ def test_large_catalog_digest_is_pinned(args):
 def _held_rendering(catalog, fmt: str) -> str:
     """The catalog as ``decompose`` printed it from a held catalog."""
     if fmt == "json":
-        return json.dumps(catalog.to_json_dict(), indent=2) + "\n"
+        return json.dumps(catalog_json_dict(catalog), indent=2) + "\n"
     return grid_text(_catalog_csv_rows(catalog) if fmt == "csv" else _catalog_grid(catalog), fmt)
 
 
@@ -100,6 +102,41 @@ def test_catalog_builds_strata_once_per_class(monkeypatch):
             result = runner.invoke(main, ["decompose", "--n", "20", "--k", "4", "--form", form, "--format", fmt])
             assert result.exit_code == 0, result.output
             assert len(calls) == len(set(calls)) == 177, (form, fmt)
+
+
+def test_catalog_classifies_once_per_class(monkeypatch):
+    """Writing the (20, 4) catalog computes the invariants of each of the 177
+    classes of the 627 partitions of 20 once, in either form."""
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return invariants(mu)
+
+    monkeypatch.setattr(cli, "invariants", counted)
+    runner = CliRunner()
+    for form in FORMS:
+        calls.clear()
+        result = runner.invoke(main, ["decompose", "--n", "20", "--k", "4", "--form", form, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 177, form
+        assert len({invariants(mu) for mu in calls}) == 177, form
+
+
+def test_real_catalog_computes_run_fields_once_per_row(monkeypatch):
+    """Each row of the real (20, 1) catalog, one per partition of 20, reads
+    its partition's bundle orientability once; one more call names the
+    run-order columns."""
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return bundle_orientable_k1(mu)
+
+    monkeypatch.setattr(real_quotient, "bundle_orientable_k1", counted)
+    result = CliRunner().invoke(main, ["decompose", "--n", "20", "--form", "real", "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == partition_count(20) + 1 == 628
 
 
 @pytest.mark.parametrize("fmt, first_line", [

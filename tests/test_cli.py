@@ -317,16 +317,20 @@ def test_verify_betti_degree_beyond_the_last_column_is_a_mismatch(runner, tmp_pa
     assert "n=45 b_8: expected '', got '1'" in result.output
 
 
+ENUMERATORS = ("enumerate_partitions", "classified_partitions")
+
+
 @pytest.fixture()
 def no_enumeration(monkeypatch):
-    """Make every binding of enumerate_partitions in the package raise."""
+    """Make every binding of every partition enumerator in the package raise."""
 
     def refuse(n):
         raise AssertionError(f"enumerated the partitions of {n}")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("extquot") and hasattr(module, "enumerate_partitions"):
-            monkeypatch.setattr(module, "enumerate_partitions", refuse)
+        for enumerator in ENUMERATORS:
+            if name.startswith("extquot") and hasattr(module, enumerator):
+                monkeypatch.setattr(module, enumerator, refuse)
 
 
 @pytest.mark.parametrize("args", [
@@ -410,9 +414,10 @@ def test_oversized_n_is_refused_without_counting_past_1000(runner, no_enumeratio
 
 
 def test_each_duality_run_does_its_own_work_once(runner, monkeypatch):
-    """A run classifies each partition of n once and builds each class's
-    strata once per divisor, and a second run in the same process does all
-    of that again rather than reading it from the first."""
+    """A run computes the invariants of each class of partitions of n once
+    and builds each class's strata once per divisor, and a second run in the
+    same process does all of that again rather than reading it from the
+    first."""
     calls = {"invariants": 0, "strata": 0}
 
     def counted(name, fn):
@@ -426,5 +431,5 @@ def test_each_duality_run_does_its_own_work_once(runner, monkeypatch):
     for _ in range(2):
         calls.update(invariants=0, strata=0)
         assert runner.invoke(main, ["duality", "--n", "24"]).exit_code == 0
-        # P(24) partitions; 335 invariant classes for each of the 8 divisors of 24
-        assert calls == {"invariants": 1575, "strata": 335 * 8}
+        # 335 invariant classes among the 1,575 partitions of 24, for each of its 8 divisors
+        assert calls == {"invariants": 335, "strata": 335 * 8}

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from extquot.complex_quotient import (
     strata,
     variety_normal_form,
 )
-from conftest import iter_gcd_distinct
+from conftest import catalog_json_dict, iter_gcd_distinct, variety_normal_form_oracle
 from extquot.numtheory import divisors
 from extquot.partitions import Partition, enumerate_partitions, invariants
 
@@ -230,6 +231,16 @@ def test_variety_normal_form_is_idempotent_and_unit_invariant():
                     assert variety_normal_form(rescaled) == form
 
 
+def test_variety_normal_form_matches_brute_force_on_random_singularities():
+    """A seeded sample of diagonal actions with d <= 30 on up to five
+    coordinates, each normalized from the definitions by listing the group."""
+    rng = random.Random(1611)
+    for _ in range(8000):
+        d, count = rng.randint(1, 30), rng.randint(0, 5)
+        s = CyclicSingularity(count, d, tuple(rng.randrange(d) for _ in range(count)))
+        assert variety_normal_form(s) == variety_normal_form_oracle(s), s
+
+
 def test_variety_normal_form_trivial_ambient():
     assert variety_normal_form(CyclicSingularity(0, 5, ())) == CyclicSingularity(0, 1, ())
 
@@ -250,7 +261,7 @@ def test_sl16_k4_2444_matches_k8_varieties():
 
 
 def test_catalog_json_schema():
-    data = decompose(ComplexComponent, 6, 2).to_json_dict()
+    data = catalog_json_dict(decompose(ComplexComponent, 6, 2))
     assert set(data) == {"n", "k", "form", "entries"}
     assert data["form"] == "complex"
     entry = data["entries"][0]

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import enumerated_class_counts, iter_gcd_distinct, two_kind_series_coefficients
+from conftest import (descending_partitions, enumerated_class_counts, iter_gcd_distinct,
+                      two_kind_series_coefficients)
 from extquot.partitions import (
     Partition,
+    classified_partitions,
     distinct_part_counts,
     enumerate_partitions,
     gcd_distinct_counts,
@@ -47,6 +49,32 @@ def test_enumeration_edge_cases():
     assert list(enumerate_partitions(0)) == [Partition(0, ())]
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
+
+
+def test_enumerators_match_descending_list_oracle():
+    """The step on runs yields the partitions the step on the descending
+    list of parts does, in the same order and with the same runs."""
+    for n in range(1, 31):
+        expected = [Partition.from_parts(a).runs for a in descending_partitions(n)]
+        assert [mu.runs for mu in enumerate_partitions(n)] == expected, n
+        assert [mu.runs for mu, _ in classified_partitions(n)] == expected, n
+
+
+def test_class_key_is_in_bijection_with_invariants():
+    """Partitions share a class key exactly when they share invariants."""
+    for n in range(1, 31):
+        by_key, by_invariants = {}, {}
+        for mu, key in classified_partitions(n):
+            inv = invariants(mu)
+            assert by_key.setdefault(key, inv) == inv, (n, key)
+            assert by_invariants.setdefault(inv, key) == key, (n, inv)
+        assert len(by_key) == len(by_invariants)
+
+
+def test_classified_partitions_rejects_n_below_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            list(classified_partitions(n))
 
 
 def test_enumeration_count_n45():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from conftest import betti_from_catalog
+from conftest import betti_from_catalog, catalog_json_dict
 from extquot.complex_quotient import ComplexComponent, decompose, partition_components
 from extquot.numtheory import divisors
 from extquot.partitions import Partition, invariants, partition_count
@@ -96,14 +96,14 @@ def test_orientation_criterion_against_direct_parity():
 
 
 def test_real_json_fields():
-    data = decompose(RealComponent, 6, 1).to_json_dict()
+    data = catalog_json_dict(decompose(RealComponent, 6, 1))
     entry = data["entries"][0]
     assert set(entry) == {
         "partition", "omega_exponent", "omega_order", "torus_dim", "multiplicity",
         "singularity", "fiber_simplex_dims", "join_counts",
         "action_orientation_preserving", "bundle_orientable",
     }
-    data = decompose(RealComponent, 6, 2).to_json_dict()
+    data = catalog_json_dict(decompose(RealComponent, 6, 2))
     assert "bundle_orientable" not in data["entries"][0]
 
 

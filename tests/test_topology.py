@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import betti_from_catalog, duality_report_oracle, enumerated_class_counts, grid_text
+from conftest import (betti_from_catalog, duality_report_oracle, enumerated_class_counts, grid_text,
+                      variety_normal_form_oracle)
 from extquot import reference, topology
-from extquot.complex_quotient import ComplexComponent, component_count_from_gcd, decompose
+from extquot.complex_quotient import (ComplexComponent, component_count_from_gcd, decompose, strata,
+                                     variety_normal_form)
 from extquot.numtheory import divisor_sigma, divisors
-from extquot.partitions import partition_count, partitions_pairs
+from extquot.partitions import invariants, partition_count, partitions_pairs
 from extquot.real_quotient import RealComponent
 from extquot.topology import (
     betti,
@@ -148,6 +150,33 @@ def test_duality_report_matches_per_partition_oracle():
             assert [mu for mu, _ in fast.partitions] == [mu for mu, _ in slow.partitions]
             for (mu, label), (_, expected) in zip(fast.partitions, slow.partitions):
                 assert fast.classes[label] == slow.classes[expected], (n, k, str(mu))
+
+
+def test_duality_flags_match_brute_force_normal_forms():
+    """Every singularity the reports for n <= 24 meet has the normal form the
+    brute-force oracle gives, and each class is flagged exactly when the
+    oracle's normal forms of its two sides differ as multisets."""
+    oracle = {}
+
+    def varieties(inv, n, k):
+        counts = Counter()
+        for s in strata(inv, n, k):
+            singularity = s.singularity
+            if singularity not in oracle:
+                oracle[singularity] = variety_normal_form_oracle(singularity)
+                assert variety_normal_form(singularity) == oracle[singularity], singularity
+            counts[oracle[singularity]] += s.multiplicity
+        return counts
+
+    for n in range(1, 25):
+        reports = duality_reports(n)
+        firsts = {label: mu for mu, label in reversed(reports[0].partitions)}
+        for report in reports:
+            for label, mu in firsts.items():
+                inv = invariants(mu)
+                equal = varieties(inv, n, report.k) == varieties(inv, n, report.k_dual)
+                assert report.classes[label].variety_singularities_equal == equal, (n, report.k, str(mu))
+    assert len(oracle) == 146  # distinct singularities in the reports for n <= 24
 
 
 def test_duality_report_builds_no_component(monkeypatch):
