@@ -7,7 +7,6 @@ from .complex_quotient import (
     ComplexComponent,
     CyclicSingularity,
     OmegaLabel,
-    QuotientCatalog,
     canonical_singularity,
     decompose,
     partition_components,
@@ -57,7 +56,6 @@ __all__ = [
     "OmegaLabel",
     "Partition",
     "PartitionInvariants",
-    "QuotientCatalog",
     "RealComponent",
     "UnimodularMatrix",
     "betti",

@@ -3,10 +3,10 @@
 Commands: decompose, betti, ktheory, euler, table, duality, verify,
 component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
-report over more than MAX_CATALOG_ROWS partitions, or a reference fixture
-that is missing, empty or lacks a required column.  Output is deterministic
-across runs, and the exit status never depends on the reader: one that
-closes the pipe early only ends the printing.
+check that would walk more than MAX_CATALOG_ROWS partitions, or a reference
+fixture that is missing, empty or lacks a required column.  Output is
+deterministic across runs, and the exit status never depends on the reader:
+one that closes the pipe early only ends the printing.
 
 ``decompose`` writes each catalog row as soon as it is produced.  The
 enumerator keys each partition by the gcd of its parts and its sorted
@@ -34,9 +34,10 @@ from .topology import betti, duality_reports, euler_characteristic, ktheory_rank
 
 FORMS = {"complex": ComplexComponent, "real": RealComponent}
 # A full catalog is streamed, so this bounds the size of its output: about
-# 470 bytes per JSON row, so 470 MB of stdout at the limit.  A duality report
-# labels every partition of n with its class.  Larger ones are refused;
-# single-partition lookups are not limited.
+# 470 bytes per JSON row, so 470 MB of stdout at the limit.  It also bounds
+# the partitions of n a duality check walks, although its reports hold only
+# one comparison per class and the flagged partitions.  Larger ones are
+# refused; single-partition lookups are not limited.
 MAX_CATALOG_ROWS = 1_000_000
 # Up to this n a refusal states the exact count, which takes milliseconds at
 # n = 1,000; above it the count is not computed.
@@ -367,7 +368,7 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
     if count is None or count > MAX_CATALOG_ROWS:
         amount = "all" if count is None else f"all {count:,}"
         click.echo(f"Error: duality for n={n} compares {amount} partitions of {n}, more than "
-                   f"the {MAX_CATALOG_ROWS:,} a report may hold", err=True)
+                   f"the {MAX_CATALOG_ROWS:,} a check may walk", err=True)
         ctx.exit(2)
     reports = duality_reports(n)
     failed = any(not report.ok for report in reports)
@@ -380,7 +381,7 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
                     "k_dual": report.k_dual,
                     "betti_equal": report.betti_equal,
                     "counts_equal": report.counts_equal,
-                    "singularity_differences": [str(p) for p in report.partitions_with_singularity_differences()],
+                    "singularity_differences": [str(p) for p in report.singularity_differences],
                 }
                 for report in reports
             ]
@@ -393,9 +394,9 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
                     f"{'=' if report.betti_equal else '!='} dual, counts "
                     f"{'=' if report.counts_equal else '!='} dual [{status}]"
                 )
-                diffs = report.partitions_with_singularity_differences()
-                if diffs:
-                    line += " (singularity structure differs for: " + ", ".join(str(p) for p in diffs) + ")"
+                if report.singularity_differences:
+                    line += (" (singularity structure differs for: "
+                             + ", ".join(map(str, report.singularity_differences)) + ")")
                 click.echo(line, file=out)
     if failed:
         ctx.exit(1)

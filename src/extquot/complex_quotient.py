@@ -86,24 +86,6 @@ class CyclicSingularity:
         }
 
 
-@dataclass(frozen=True)
-class QuotientCatalog:
-    """The full decomposition for (n, k), complex or real form.
-
-    Entries are ordered by partition enumeration order, then by omega
-    exponent, so renderings diff cleanly.  Each entry carries its discrete
-    multiplicity; the total component count is the sum of multiplicities.
-    """
-
-    n: int
-    k: int
-    form: str
-    entries: tuple
-
-    def total_components(self) -> int:
-        return sum(entry.multiplicity for entry in self.entries)
-
-
 class Stratum(NamedTuple):
     """What both forms share for the stratum (class, omega) of the (n, k)
     quotient, where the class is the invariants (g, m, b, c, p) of its
@@ -153,14 +135,13 @@ def partition_components(component_type: type, mu: Partition, n: int, k: int) ->
     return [component_type.from_stratum(s, mu) for s in strata(invariants(mu), n, k)]
 
 
-def decompose(component_type: type, n: int, k: int) -> QuotientCatalog:
-    """The full catalog for (n, k): partitions in enumeration order, then
-    omega exponents."""
+def decompose(component_type: type, n: int, k: int) -> list:
+    """The full catalog for (n, k): its components, partitions in enumeration
+    order, then omega exponents.  The total component count is the sum of
+    their multiplicities."""
     _require_divides(k, n)
-    entries = []
-    for mu in enumerate_partitions(n):
-        entries.extend(partition_components(component_type, mu, n, k))
-    return QuotientCatalog(n=n, k=k, form=component_type.form, entries=tuple(entries))
+    return [entry for mu in enumerate_partitions(n)
+            for entry in partition_components(component_type, mu, n, k)]
 
 
 def catalog_rows(n: int, k: int) -> int:

@@ -236,7 +236,7 @@ def _verify_catalog(table_id, rows) -> DiffReport:
         groups.setdefault((int(row["n"]), int(row["k"])), []).append(row)
     for (n, k), expected_rows in groups.items():
         if table_id == "sl6_catalogs":
-            entries = list(decompose(ComplexComponent, n, k).entries)
+            entries = decompose(ComplexComponent, n, k)
         else:
             # The worked cases list a few partitions; only those are computed.
             entries = []
@@ -256,7 +256,7 @@ def _verify_catalog(table_id, rows) -> DiffReport:
 
 def _verify_su6(table_id, rows) -> DiffReport:
     report = DiffReport(table_id)
-    entries = list(decompose(RealComponent, 6, 1).entries)
+    entries = decompose(RealComponent, 6, 1)
     if not report.check("row count", len(rows), len(entries)):
         return report
     for idx, (row, entry) in enumerate(zip(rows, entries)):

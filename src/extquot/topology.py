@@ -10,14 +10,17 @@ K-theory ranks are the even/odd Betti sums (Chern character over C), and the
 Euler characteristic for k = 1 equals the divisor sum of n.
 
 Duality reports compare the (n, k) and (n, n/k) quotients for every divisor k
-of n in one call, once per invariant class (g, m, b, c, p) of partitions of n,
-not once per partition.  What the reports share lives only for that call.
+of n in one pass over the partitions of n, once per invariant class
+(g, m, b, c, p), not once per partition.  A report holds one comparison per
+class and only the partitions it flags, so its size grows with the classes
+and the flagged partitions, not with P(n).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -118,8 +121,9 @@ class ClassDuality:
 @dataclass(frozen=True)
 class DualityReport:
     """The comparison of the (n, k) and (n, n/k) quotients: one comparison
-    per class, and every partition of n in enumeration order with the index
-    of its class."""
+    per invariant class of partitions of n, in the order the classes first
+    occur in enumeration order, and the partitions whose varieties differ
+    between the two sides, in enumeration order."""
 
     n: int
     k: int
@@ -127,7 +131,7 @@ class DualityReport:
     betti_ranks: tuple[int, ...]
     betti_ranks_dual: tuple[int, ...]
     classes: tuple[ClassDuality, ...]
-    partitions: tuple[tuple[Partition, int], ...]
+    singularity_differences: tuple[Partition, ...]
 
     @property
     def betti_equal(self) -> bool:
@@ -144,9 +148,6 @@ class DualityReport:
     @property
     def ok(self) -> bool:
         return self.betti_equal and self.counts_equal and self.torus_counts_equal
-
-    def partitions_with_singularity_differences(self) -> list[Partition]:
-        return [mu for mu, label in self.partitions if not self.classes[label].variety_singularities_equal]
 
 
 def _profile(layers: list[Stratum], forms: dict) -> tuple[int, Counter, Counter, Counter]:
@@ -177,30 +178,33 @@ def duality_reports(n: int) -> list[DualityReport]:
     the level of the underlying varieties (quasi-reflections discarded), and
     partitions are flagged when the varieties genuinely differ.
 
-    Each class's invariants are computed once, each side (n, k) is profiled
-    once per class for the reports for k and n/k, each distinct singularity
-    is built and normalized once, and all reports share one labelled tuple.
+    One pass over the partitions of n: the first partition of each class
+    computes the class's invariants, profiles each side (n, k) once and
+    compares the class for every k; every partition then joins the flagged
+    lists of the k whose varieties differ.  Each distinct singularity is
+    built and normalized once, and nothing but the reports outlives the call.
     """
     if n < 1:
         raise ValueError("duality_reports needs a positive integer")
-    index: dict[tuple, tuple[int, Partition]] = {}  # class key -> label, first partition
-    partitions = tuple((mu, index.setdefault(key, (len(index), mu))[0]) for mu, key in classified_partitions(n))
-    invariant_classes = [invariants(mu) for _, mu in index.values()]
     ks = divisors(n)
     forms: dict = {}
-    sides = {k: (betti(n, k).ranks, [_profile(strata(inv, n, k), forms) for inv in invariant_classes]) for k in ks}
-    reports = []
-    for k in ks:
-        (ranks, profiles), (ranks_dual, profiles_dual) = sides[k], sides[n // k]
-        classes = tuple(
-            ClassDuality(count, count_dual, torus_dims == torus_dims_dual,
-                         descriptors == descriptors_dual, varieties == varieties_dual)
-            for (count, torus_dims, descriptors, varieties),
-                (count_dual, torus_dims_dual, descriptors_dual, varieties_dual) in zip(profiles, profiles_dual)
-        )
-        reports.append(DualityReport(n=n, k=k, k_dual=n // k, betti_ranks=ranks, betti_ranks_dual=ranks_dual,
-                                     classes=classes, partitions=partitions))
-    return reports
+    classes: dict[int, list[ClassDuality]] = {k: [] for k in ks}
+    flagged: dict[int, list[Partition]] = {k: [] for k in ks}
+    differing: dict[tuple, tuple[int, ...]] = {}  # class key -> the k whose varieties differ
+    for mu, key in classified_partitions(n):
+        if key not in differing:
+            inv = invariants(mu)
+            profiles = {k: _profile(strata(inv, n, k), forms) for k in ks}
+            for k in ks:
+                (count, *multisets), (count_dual, *multisets_dual) = profiles[k], profiles[n // k]
+                classes[k].append(ClassDuality(count, count_dual, *map(operator.eq, multisets, multisets_dual)))
+            differing[key] = tuple(k for k in ks if not classes[k][-1].variety_singularities_equal)
+        for k in differing[key]:
+            flagged[k].append(mu)
+    ranks = {k: betti(n, k).ranks for k in ks}
+    return [DualityReport(n=n, k=k, k_dual=n // k, betti_ranks=ranks[k], betti_ranks_dual=ranks[n // k],
+                          classes=tuple(classes[k]), singularity_differences=tuple(flagged[k]))
+            for k in ks]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from extquot.cli import _flag, _omega_str, _variety_str
 from extquot.complex_quotient import (
     ComplexComponent,
     CyclicSingularity,
-    QuotientCatalog,
     _require_divides,
     canonical_singularity,
     partition_components,
@@ -185,12 +184,13 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
     partition is its own class."""
     _require_divides(k, n)
     k_dual = n // k
-    partitions, classes = [], []
+    flagged, classes = [], []
     for mu in enumerate_partitions(n):
         count, torus_dims, descriptors, varieties = _profile(partition_components(ComplexComponent, mu, n, k))
         count_dual, torus_dims_dual, descriptors_dual, varieties_dual = _profile(
             partition_components(ComplexComponent, mu, n, k_dual))
-        partitions.append((mu, len(classes)))
+        if varieties != varieties_dual:
+            flagged.append(mu)
         classes.append(
             ClassDuality(
                 components=count,
@@ -207,26 +207,27 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
         betti_ranks=betti(n, k).ranks,
         betti_ranks_dual=betti(n, k_dual).ranks,
         classes=tuple(classes),
-        partitions=tuple(partitions),
+        singularity_differences=tuple(flagged),
     )
 
 
-def betti_from_catalog(catalog) -> BettiVector:
-    """Betti vector recomputed from a full catalog (complex or real).
+def betti_from_catalog(n: int, k: int, entries) -> BettiVector:
+    """Betti vector recomputed from the entries of a full (n, k) catalog
+    (complex or real).
 
     Cross-check for :func:`extquot.topology.betti`; both forms give the same
     answer since real and complex components share base dimension and
     multiplicity.
     """
     by_dim: Counter[int] = Counter()
-    for entry in catalog.entries:
+    for entry in entries:
         by_dim[entry.torus_dim] += entry.multiplicity
     top = max(by_dim)
     ranks = tuple(
         sum(total * math.comb(dim, j) for dim, total in by_dim.items())
         for j in range(top + 1)
     )
-    return BettiVector(n=catalog.n, k=catalog.k, ranks=ranks)
+    return BettiVector(n=n, k=k, ranks=ranks)
 
 
 def grid_text(rows, fmt: str) -> str:
@@ -236,26 +237,26 @@ def grid_text(rows, fmt: str) -> str:
     return out.getvalue()
 
 
-def catalog_json_dict(catalog: QuotientCatalog) -> dict:
-    """The object ``decompose --format json`` lays out for a held catalog."""
-    return {"n": catalog.n, "k": catalog.k, "form": catalog.form,
-            "entries": [entry.to_dict() for entry in catalog.entries]}
+def catalog_json_dict(n: int, k: int, form: str, entries) -> dict:
+    """The object ``decompose --format json`` lays out for the held entries
+    of an (n, k) catalog."""
+    return {"n": n, "k": k, "form": form, "entries": [entry.to_dict() for entry in entries]}
 
 
-def _catalog_grid(catalog: QuotientCatalog) -> list[list[str]]:
-    if catalog.form == "complex":
+def _catalog_grid(k: int, form: str, entries) -> list[list[str]]:
+    if form == "complex":
         rows = [["mu", "omega", "X", "variety"]]
-        for entry in catalog.entries:
-            rows.append([str(entry.partition), _omega_str(entry, catalog.k), str(entry.multiplicity),
+        for entry in entries:
+            rows.append([str(entry.partition), _omega_str(entry, k), str(entry.multiplicity),
                          _variety_str(entry)])
         return rows
     rows = [["mu", "omega", "X", "base", "fiber dims", "C_d", "joins", "fiber action preserves orientation"]]
-    if catalog.k == 1:
+    if k == 1:
         rows[0].append("bundle orientable")
-    for entry in catalog.entries:
+    for entry in entries:
         cells = [
             str(entry.partition),
-            _omega_str(entry, catalog.k),
+            _omega_str(entry, k),
             str(entry.multiplicity),
             f"T^{entry.torus_dim}",
             ",".join(str(d) for d in entry.fiber_simplex_dims),
@@ -263,16 +264,16 @@ def _catalog_grid(catalog: QuotientCatalog) -> list[list[str]]:
             ",".join(str(c) for c in entry.join_counts),
             _flag(entry.action_orientation_preserving),
         ]
-        if catalog.k == 1:
+        if k == 1:
             cells.append(_flag(entry.bundle_orientable))
         rows.append(cells)
     return rows
 
 
-def _catalog_csv_rows(catalog: QuotientCatalog) -> Iterator[list]:
+def _catalog_csv_rows(entries) -> Iterator[list]:
     """A header, then each entry's ``to_dict`` as CSV cells with the
     singularity's fields in its place."""
-    for i, entry in enumerate(catalog.entries):
+    for i, entry in enumerate(entries):
         fields = {}
         for key, value in entry.to_dict().items():
             for name, v in value.items() if key == "singularity" else [(key, value)]:

@@ -87,8 +87,7 @@ def test_criterion_5_real_orientability_table():
     the orientability column with exactly one non-orientable bundle."""
     report = reference.verify("su6_orientability")
     assert report.ok, report.mismatches
-    catalog = decompose(RealComponent, 6, 1)
-    flags = [(str(e.partition), bundle_orientable_k1(e.partition)) for e in catalog.entries]
+    flags = [(str(e.partition), bundle_orientable_k1(e.partition)) for e in decompose(RealComponent, 6, 1)]
     non_orientable = [text for text, orientable in flags if not orientable]
     assert non_orientable == ["1+1+2+2"]
     print("\nCRITERION 5 PASS: real n=6 table matches; single non-orientable bundle at 1+1+2+2")

@@ -2,6 +2,8 @@
 
 Large catalogs are pinned by the SHA-256 of their stdout, taken before the
 catalog was streamed row by row; they are too large for ``tests/golden/``.
+The duality reports of 40 are pinned beside them, taken while every report
+still labelled all partitions of 40.
 Small catalogs are compared byte for byte with the held-catalog rendering
 that ``decompose`` used to print.
 """
@@ -22,7 +24,7 @@ import extquot
 from conftest import _catalog_csv_rows, _catalog_grid, catalog_json_dict, grid_text
 from extquot import cli, real_quotient
 from extquot.cli import FORMS, main, parse_partition
-from extquot.complex_quotient import ComplexComponent, QuotientCatalog, decompose, partition_components, strata
+from extquot.complex_quotient import ComplexComponent, decompose, partition_components, strata
 from extquot.numtheory import divisors
 from extquot.partitions import invariants, partition_count
 from extquot.real_quotient import bundle_orientable_k1
@@ -41,6 +43,13 @@ PINNED = {
 }
 
 
+# duality --n 40 as text (92,642 bytes) and as JSON (116,517 bytes).
+DUALITY_PINNED = {
+    ("--n", "40"): "ced51b62c771ada9c019a296604c6db0cf8ca218683b9dc453580bad3b06ea42",
+    ("--n", "40", "--format", "json"): "c4437a076af2d85bd8713a67ed8f7e8e1dfca5afd63f9563baeec711f72d353d",
+}
+
+
 @pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
 def test_large_catalog_digest_is_pinned(args):
     result = CliRunner().invoke(main, ["decompose", *args])
@@ -48,11 +57,19 @@ def test_large_catalog_digest_is_pinned(args):
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == PINNED[args]
 
 
-def _held_rendering(catalog, fmt: str) -> str:
-    """The catalog as ``decompose`` printed it from a held catalog."""
+@pytest.mark.parametrize("args", sorted(DUALITY_PINNED), ids=" ".join)
+def test_large_duality_digest_is_pinned(args):
+    result = CliRunner().invoke(main, ["duality", *args])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == DUALITY_PINNED[args]
+
+
+def _held_rendering(n: int, k: int, form: str, entries, fmt: str) -> str:
+    """The (n, k) catalog of ``entries`` as ``decompose`` printed it from a
+    held catalog."""
     if fmt == "json":
-        return json.dumps(catalog_json_dict(catalog), indent=2) + "\n"
-    return grid_text(_catalog_csv_rows(catalog) if fmt == "csv" else _catalog_grid(catalog), fmt)
+        return json.dumps(catalog_json_dict(n, k, form, entries), indent=2) + "\n"
+    return grid_text(_catalog_csv_rows(entries) if fmt == "csv" else _catalog_grid(k, form, entries), fmt)
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -60,12 +77,12 @@ def test_streamed_catalog_matches_held_rendering(n):
     runner = CliRunner()
     for k in divisors(n):
         for form, component_type in FORMS.items():
-            catalog = decompose(component_type, n, k)
+            entries = decompose(component_type, n, k)
             for fmt in FORMATS:
                 result = runner.invoke(main, ["decompose", "--n", str(n), "--k", str(k), "--form", form,
                                               "--format", fmt])
                 assert result.exit_code == 0, result.output
-                assert result.stdout == _held_rendering(catalog, fmt), (n, k, form, fmt)
+                assert result.stdout == _held_rendering(n, k, form, entries, fmt), (n, k, form, fmt)
 
 
 @pytest.mark.parametrize("n, k, text", [
@@ -75,13 +92,12 @@ def test_streamed_catalog_matches_held_rendering(n):
 def test_streamed_lookup_matches_held_rendering(n, k, text):
     runner = CliRunner()
     for form, component_type in FORMS.items():
-        entries = tuple(partition_components(component_type, parse_partition(text), n, k))
-        catalog = QuotientCatalog(n=n, k=k, form=form, entries=entries)
+        entries = partition_components(component_type, parse_partition(text), n, k)
         for fmt in FORMATS:
             result = runner.invoke(main, ["decompose", "--n", str(n), "--k", str(k), "--partition", text,
                                           "--form", form, "--format", fmt])
             assert result.exit_code == 0, result.output
-            assert result.stdout == _held_rendering(catalog, fmt), (form, fmt)
+            assert result.stdout == _held_rendering(n, k, form, entries, fmt), (form, fmt)
 
 
 def test_catalog_builds_strata_once_per_class(monkeypatch):
@@ -191,7 +207,7 @@ STREAMED_PEAK_BOUND = 8_000_000  # bytes
 def test_full_catalog_streams_in_flat_memory(monkeypatch):
     """The (40, 4) complex JSON catalog, 18 MB of stdout, is written with a
     traced peak under a few MB; rendering the held catalog peaks over 100 MB."""
-    held, held_peak = _traced(lambda: _held_rendering(decompose(ComplexComponent, 40, 4), "json"))
+    held, held_peak = _traced(lambda: _held_rendering(40, 4, "complex", decompose(ComplexComponent, 40, 4), "json"))
     assert held_peak > 100_000_000
     counter = _ByteCounter()
     stdout = io.TextIOWrapper(io.BufferedWriter(counter), encoding="utf-8")

@@ -360,7 +360,7 @@ def test_oversized_catalog_is_refused_without_enumeration(runner, no_enumeration
 
 
 def test_catalog_row_limit_is_inclusive(runner, monkeypatch):
-    rows = len(decompose(ComplexComponent, 6, 2).entries)
+    rows = len(decompose(ComplexComponent, 6, 2))
     monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", rows)
     assert runner.invoke(main, ["decompose", "--n", "6", "--k", "2"]).exit_code == 0
     monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", rows - 1)

@@ -110,10 +110,10 @@ def test_component_count_duality_symmetry():
 
 
 def test_decompose_complex_totals():
-    assert decompose(ComplexComponent, 6, 1).total_components() == 20
+    assert sum(e.multiplicity for e in decompose(ComplexComponent, 6, 1)) == 20
     single = decompose(ComplexComponent, 1, 1)
-    assert len(single.entries) == 1
-    entry = single.entries[0]
+    assert len(single) == 1
+    entry = single[0]
     assert entry.torus_dim == 0 and entry.multiplicity == 1
     assert entry.singularity.ambient_dim == 0
 
@@ -121,7 +121,7 @@ def test_decompose_complex_totals():
 def test_catalog_rows_counts_entries_without_enumeration():
     for n in range(1, 21):
         for k in divisors(n):
-            assert catalog_rows(n, k) == len(decompose(ComplexComponent, n, k).entries)
+            assert catalog_rows(n, k) == len(decompose(ComplexComponent, n, k))
     for n in range(21, 41):
         for k in divisors(n):
             assert catalog_rows(n, k) == sum(math.gcd(g, k) for g, _ in iter_gcd_distinct(n))
@@ -132,8 +132,8 @@ def test_catalog_rows_counts_entries_without_enumeration():
 
 
 def test_decompose_complex_ordering():
-    catalog = decompose(ComplexComponent, 6, 6)
-    keys = [(e.partition.parts, e.omega.exponent) for e in catalog.entries]
+    entries = decompose(ComplexComponent, 6, 6)
+    keys = [(e.partition.parts, e.omega.exponent) for e in entries]
     partitions_order = [mu.parts for mu in enumerate_partitions(6)]
     expected = []
     for parts in partitions_order:
@@ -141,7 +141,7 @@ def test_decompose_complex_ordering():
         assert exps == sorted(exps)
         expected.extend((parts, exp) for exp in exps)
     assert keys == expected
-    assert len({e.partition for e in catalog.entries}) == 11
+    assert len({e.partition for e in entries}) == 11
 
 
 def test_decompose_complex_rejects_bad_k():
@@ -151,7 +151,7 @@ def test_decompose_complex_rejects_bad_k():
 
 def test_smooth_when_k_is_one():
     for n in (2, 5, 9, 12):
-        for entry in decompose(ComplexComponent, n, 1).entries:
+        for entry in decompose(ComplexComponent, n, 1):
             assert entry.singularity.group_order == 1
 
 
@@ -261,7 +261,7 @@ def test_sl16_k4_2444_matches_k8_varieties():
 
 
 def test_catalog_json_schema():
-    data = catalog_json_dict(decompose(ComplexComponent, 6, 2))
+    data = catalog_json_dict(6, 2, "complex", decompose(ComplexComponent, 6, 2))
     assert set(data) == {"n", "k", "form", "entries"}
     assert data["form"] == "complex"
     entry = data["entries"][0]

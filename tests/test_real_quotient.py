@@ -35,15 +35,15 @@ def test_bundle_orientability_examples():
 
 
 def test_su6_table():
-    catalog = decompose(RealComponent, 6, 1)
-    assert [e.multiplicity for e in catalog.entries] == [6, 1, 2, 1, 3, 1, 1, 2, 1, 1, 1]
-    non_orientable = [str(e.partition) for e in catalog.entries if not e.bundle_orientable]
+    entries = decompose(RealComponent, 6, 1)
+    assert [e.multiplicity for e in entries] == [6, 1, 2, 1, 3, 1, 1, 2, 1, 1, 1]
+    non_orientable = [str(e.partition) for e in entries if not e.bundle_orientable]
     assert non_orientable == ["1+1+2+2"]
 
 
 def test_decompose_real_small_cases():
-    assert decompose(RealComponent, 2, 1).total_components() == 3
-    assert decompose(RealComponent, 1, 1).total_components() == 1
+    assert sum(e.multiplicity for e in decompose(RealComponent, 2, 1)) == 3
+    assert sum(e.multiplicity for e in decompose(RealComponent, 1, 1)) == 1
     with pytest.raises(ValueError):
         decompose(RealComponent, 6, 5)
 
@@ -55,21 +55,21 @@ def test_real_and_complex_catalogs_agree():
         for k in divisors(n):
             real = decompose(RealComponent, n, k)
             cplx = decompose(ComplexComponent, n, k)
-            assert len(real.entries) == len(cplx.entries)
-            for r, c in zip(real.entries, cplx.entries):
+            assert len(real) == len(cplx)
+            for r, c in zip(real, cplx):
                 assert r.partition == c.partition
                 assert r.omega == c.omega
                 assert r.torus_dim == c.torus_dim
                 assert r.multiplicity == c.multiplicity
                 assert r.cyclic_order == c.singularity.group_order
                 assert r.singularity == c.singularity
-            assert betti_from_catalog(real) == betti_from_catalog(cplx)
+            assert betti_from_catalog(n, k, real) == betti_from_catalog(n, k, cplx)
 
 
 def test_fiber_descriptor_consistency():
     for n in range(1, 17):
         for k in divisors(n):
-            for entry in decompose(RealComponent, n, k).entries:
+            for entry in decompose(RealComponent, n, k):
                 inv = invariants(entry.partition)
                 d = entry.cyclic_order
                 assert sum(entry.fiber_simplex_dims) == inv.c - inv.b
@@ -79,7 +79,7 @@ def test_fiber_descriptor_consistency():
 
 def test_trivial_action_preserves_orientation():
     for n in range(1, 15):
-        for entry in decompose(RealComponent, n, 1).entries:
+        for entry in decompose(RealComponent, n, 1):
             assert entry.cyclic_order == 1
             assert entry.action_orientation_preserving
 
@@ -88,7 +88,7 @@ def test_orientation_criterion_against_direct_parity():
     """The 2-adic criterion agrees with the parity of c - c/d."""
     for n in range(1, 19):
         for k in divisors(n):
-            for entry in decompose(RealComponent, n, k).entries:
+            for entry in decompose(RealComponent, n, k):
                 inv = invariants(entry.partition)
                 d = entry.cyclic_order
                 direct = (inv.c - inv.c // d) % 2 == 0
@@ -96,14 +96,14 @@ def test_orientation_criterion_against_direct_parity():
 
 
 def test_real_json_fields():
-    data = catalog_json_dict(decompose(RealComponent, 6, 1))
+    data = catalog_json_dict(6, 1, "real", decompose(RealComponent, 6, 1))
     entry = data["entries"][0]
     assert set(entry) == {
         "partition", "omega_exponent", "omega_order", "torus_dim", "multiplicity",
         "singularity", "fiber_simplex_dims", "join_counts",
         "action_orientation_preserving", "bundle_orientable",
     }
-    data = catalog_json_dict(decompose(RealComponent, 6, 2))
+    data = catalog_json_dict(6, 2, "real", decompose(RealComponent, 6, 2))
     assert "bundle_orientable" not in data["entries"][0]
 
 
@@ -133,6 +133,6 @@ def test_real_rows_classify_each_partition_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("extquot") and getattr(module, "invariants", None) is invariants:
             monkeypatch.setattr(module, "invariants", counted)
-    for entry in decompose(RealComponent, 12, 1).entries:
+    for entry in decompose(RealComponent, 12, 1):
         entry.to_dict()
     assert len(calls) == partition_count(12) == 77

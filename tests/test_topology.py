@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,7 +12,7 @@ from extquot import reference, topology
 from extquot.complex_quotient import (ComplexComponent, component_count_from_gcd, decompose, strata,
                                      variety_normal_form)
 from extquot.numtheory import divisor_sigma, divisors
-from extquot.partitions import invariants, partition_count, partitions_pairs
+from extquot.partitions import classified_partitions, enumerate_partitions, invariants, partitions_pairs
 from extquot.real_quotient import RealComponent
 from extquot.topology import (
     betti,
@@ -92,19 +93,26 @@ def test_betti_agrees_with_catalog_paths():
             streamed = betti(n, k)
             cplx = decompose(ComplexComponent, n, k)
             real = decompose(RealComponent, n, k)
-            assert streamed == betti_from_catalog(cplx) == betti_from_catalog(real)
-            assert all(entry.multiplicity >= 1 for entry in cplx.entries)
-            assert streamed.ranks[0] == cplx.total_components() == real.total_components()
+            assert streamed == betti_from_catalog(n, k, cplx) == betti_from_catalog(n, k, real)
+            assert all(entry.multiplicity >= 1 for entry in cplx)
+            assert streamed.ranks[0] == sum(e.multiplicity for e in cplx) == sum(e.multiplicity for e in real)
 
 
 def test_b0_counts_components():
     for n, k in ((6, 1), (6, 6), (12, 4), (16, 8)):
-        assert betti(n, k).ranks[0] == decompose(ComplexComponent, n, k).total_components()
+        assert betti(n, k).ranks[0] == sum(e.multiplicity for e in decompose(ComplexComponent, n, k))
 
 
 def _report(n, k):
     """The report for k among all the duality reports of n."""
     return next(report for report in duality_reports(n) if report.k == k)
+
+
+def _labelled(n):
+    """Every partition of n in enumeration order, with the index of its class
+    among the classes in the order they first occur."""
+    labels = {}
+    return [(mu, labels.setdefault(key, len(labels))) for mu, key in classified_partitions(n)]
 
 
 def test_duality_report_12_2():
@@ -118,26 +126,29 @@ def test_duality_report_12_2():
 def test_duality_report_self_dual():
     report = _report(16, 4)
     assert report.k_dual == 4 and report.ok
-    assert not report.partitions_with_singularity_differences()
+    assert not report.singularity_differences
     assert all(c.descriptor_singularities_equal for c in report.classes)
 
 
 def test_duality_report_6_1_singularity_differences():
     report = _report(6, 1)
     assert report.ok
-    diffs = [str(p) for p in report.partitions_with_singularity_differences()]
+    diffs = [str(p) for p in report.singularity_differences]
     assert diffs == ["2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
     # at the level of raw group data, 3+3 differs too (A^1 vs A^1 / +-1),
     # but the quotient varieties there are isomorphic
-    descriptor_diffs = [str(mu) for mu, label in report.partitions
+    descriptor_diffs = [str(mu) for mu, label in _labelled(6)
                         if not report.classes[label].descriptor_singularities_equal]
     assert descriptor_diffs == ["3+3", "2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
 
 
 def test_duality_report_matches_per_partition_oracle():
     """Every report, computed once per invariant class, equals the
-    per-partition loop, partition for partition and field for field."""
+    per-partition loop, partition for partition and field for field, and
+    flags the same partitions in the same order."""
     for n in range(1, 25):
+        labelled = _labelled(n)
+        assert [mu for mu, _ in labelled] == list(enumerate_partitions(n))
         reports = duality_reports(n)
         assert [report.k for report in reports] == divisors(n)
         for fast in reports:
@@ -147,9 +158,11 @@ def test_duality_report_matches_per_partition_oracle():
             assert fast.betti_ranks_dual == slow.betti_ranks_dual
             assert (fast.counts_equal, fast.torus_counts_equal) == (slow.counts_equal, slow.torus_counts_equal)
             assert fast.ok == slow.ok
-            assert [mu for mu, _ in fast.partitions] == [mu for mu, _ in slow.partitions]
-            for (mu, label), (_, expected) in zip(fast.partitions, slow.partitions):
-                assert fast.classes[label] == slow.classes[expected], (n, k, str(mu))
+            assert len(fast.classes) == len({label for _, label in labelled})
+            assert len(slow.classes) == len(labelled)
+            for (mu, label), expected in zip(labelled, slow.classes):
+                assert fast.classes[label] == expected, (n, fast.k, str(mu))
+            assert fast.singularity_differences == slow.singularity_differences
 
 
 def test_duality_flags_match_brute_force_normal_forms():
@@ -169,9 +182,9 @@ def test_duality_flags_match_brute_force_normal_forms():
         return counts
 
     for n in range(1, 25):
-        reports = duality_reports(n)
-        firsts = {label: mu for mu, label in reversed(reports[0].partitions)}
-        for report in reports:
+        firsts = {label: mu for mu, label in reversed(_labelled(n))}
+        for report in duality_reports(n):
+            assert len(report.classes) == len(firsts)
             for label, mu in firsts.items():
                 inv = invariants(mu)
                 equal = varieties(inv, n, report.k) == varieties(inv, n, report.k_dual)
@@ -189,10 +202,18 @@ def test_duality_report_builds_no_component(monkeypatch):
     assert all(report.ok for report in duality_reports(24))
 
 
-def test_duality_reports_share_one_partition_labelling():
-    reports = duality_reports(24)
-    assert len(reports[0].partitions) == partition_count(24)
-    assert all(report.partitions is reports[0].partitions for report in reports)
+def test_duality_reports_hold_only_what_they_print():
+    """The reports of 30 hold one comparison per class and the flagged
+    partitions, not the 5,604 partitions of 30: their traced peak stays under
+    4 MB, where labelling every partition reached 8 MB."""
+    tracemalloc.start()
+    try:
+        reports = duality_reports(30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(report.ok for report in reports)
+    assert peak < 4_000_000, peak
 
 
 def test_square_free_answers_do_not_vary_with_k():
