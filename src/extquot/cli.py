@@ -108,56 +108,51 @@ def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-# Markdown column headers, by the component field each column shows.
-_MARKDOWN_HEADERS = {
-    "partition": "mu",
-    "omega": "omega",
-    "multiplicity": "X",
-    "variety": "variety",
-    "torus_dim": "base",
-    "fiber_simplex_dims": "fiber dims",
-    "cyclic_order": "C_d",
-    "join_counts": "joins",
-    "action_orientation_preserving": "fiber action preserves orientation",
-    "bundle_orientable": "bundle orientable",
+# By the component field each shows: its markdown column header, and its
+# label in ``component --format text``, which leaves out a field without one.
+_LABELS = {
+    "partition": ("mu", "mu"),
+    "omega": ("omega", "omega"),
+    "multiplicity": ("X", "|X|"),
+    "variety": ("variety", "variety"),
+    "torus_dim": ("base", "base"),
+    "fiber_simplex_dims": ("fiber dims", "fiber"),
+    "cyclic_order": ("C_d", "C_d"),
+    "join_counts": ("joins", None),
+    "action_orientation_preserving": ("fiber action preserves orientation", "orientation_preserving"),
+    "bundle_orientable": ("bundle orientable", None),
 }
 
 
-def _json_cells(entry, k: int) -> list[tuple[str, str]]:
-    """Each key of ``entry.to_dict()`` with its text inside the entries of
-    ``json.dumps(catalog, indent=2)``: the entry's own dump, cut at its
-    top-level keys and indented two levels deeper."""
-    fields = entry.to_dict()
-    texts: list[str] = []
-    for line in json.dumps(fields, indent=2).split("\n")[1:-1]:
-        if line.startswith('  "'):
-            texts.append("    " + line)
-        else:
-            texts[-1] += "\n    " + line
-    return [(key, text.removesuffix(",")) for key, text in zip(fields, texts)]
+def _json_fields(entry, k: int) -> list[tuple[str, object]]:
+    """The items of ``entry.to_dict()``, with the partition itself in place
+    of its list of parts."""
+    return [(key, entry.partition if key == "partition" else value) for key, value in entry.to_dict().items()]
 
 
 def _json_cell(key: str, value) -> str:
-    """A run-order field (a partition, a nonempty tuple of integers or a
-    flag) as :func:`_json_cells` gives it."""
+    """A field as it stands inside the entries of ``json.dumps(catalog,
+    indent=2)``: its key, then its own dump indented three levels.  The
+    run-order fields every row renders, a flag, a partition or a nonempty
+    tuple of integers, are laid out without ``json.dumps``."""
     if isinstance(value, bool):
         return f'      "{key}": {"true" if value else "false"}'
     if isinstance(value, Partition):
         items = value.joined(",\n        ")
-    else:
+    elif isinstance(value, tuple) and value:
         items = ",\n        ".join(map(str, value))
+    else:
+        return f'      "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n      ")
     return f'      "{key}": [\n        {items}\n      ]'
 
 
-def _csv_cells(entry, k: int) -> list[tuple[str, str]]:
+def _csv_fields(entry, k: int) -> list[tuple[str, object]]:
     """The fields of ``entry.to_dict()`` with the singularity's fields in its
-    place, each as a CSV cell."""
+    place."""
     fields = []
-    for key, value in entry.to_dict().items():
-        if key == "partition":
-            value = entry.partition
+    for key, value in _json_fields(entry, k):
         fields.extend(value.items() if key == "singularity" else [(key, value)])
-    return [(key, _csv_cell(key, value)) for key, value in fields]
+    return fields
 
 
 def _csv_cell(key: str, value) -> str:
@@ -166,8 +161,8 @@ def _csv_cell(key: str, value) -> str:
     return _flag(value) if isinstance(value, bool) else str(value)
 
 
-def _markdown_cells(entry, k: int) -> list[tuple[str, str]]:
-    """The markdown columns of ``entry``, named as in _MARKDOWN_HEADERS."""
+def _markdown_fields(entry, k: int) -> list[tuple[str, object]]:
+    """The markdown columns of ``entry``, headed as in _LABELS."""
     fields = [("partition", entry.partition), ("omega", _omega_str(entry, k)),
               ("multiplicity", entry.multiplicity)]
     if entry.form == "complex":
@@ -182,7 +177,7 @@ def _markdown_cells(entry, k: int) -> list[tuple[str, str]]:
         ]
         if k == 1:
             fields.append(("bundle_orientable", entry.bundle_orientable))
-    return [(key, _markdown_cell(key, value)) for key, value in fields]
+    return fields
 
 
 def _markdown_cell(key: str, value) -> str:
@@ -191,11 +186,11 @@ def _markdown_cell(key: str, value) -> str:
     return _flag(value) if isinstance(value, bool) else str(value)
 
 
-# Per format: the cells of a whole entry, and the cell of one run-order field.
-_CELLS = {
-    "json": (_json_cells, _json_cell),
-    "csv": (_csv_cells, _csv_cell),
-    "markdown": (_markdown_cells, _markdown_cell),
+# Per format: the named fields of an entry, and the cell of one field.
+_FORMATS = {
+    "json": (_json_fields, _json_cell),
+    "csv": (_csv_fields, _csv_cell),
+    "markdown": (_markdown_fields, _markdown_cell),
 }
 
 
@@ -212,21 +207,22 @@ def _catalog_rows(component_type: type, n: int, k: int, classified: Iterable[tup
     partition copies them and renders only its own run-order cells.  The
     classes live for one call.
     """
-    cells, cell = _CELLS[fmt]
+    fields, cell = _FORMATS[fmt]
     classes: dict[Hashable, list[tuple[Stratum, list[str]]]] = {}
     slots: dict[int, str] = {}
     for mu, key in classified:
         rows = classes.get(key)
         if rows is None:
             layers = strata(invariants(mu), n, k)
-            named = [cells(component_type.from_stratum(s, mu), k) for s in layers]
+            named = [fields(component_type.from_stratum(s, mu), k) for s in layers]
             if not classes:
                 run_keys = component_type.run_fields(layers[0], mu)
                 slots = {i: name for i, (name, _) in enumerate(named[0]) if name in run_keys}
                 yield [name for name, _ in named[0]]
-            yield from ([text for _, text in row] for row in named)
-            classes[key] = [(s, ["" if i in slots else text for i, (_, text) in enumerate(row)])
-                            for s, row in zip(layers, named)]
+            texts = [[cell(name, value) for name, value in row] for row in named]
+            yield from texts
+            classes[key] = [(s, ["" if i in slots else text for i, text in enumerate(row)])
+                            for s, row in zip(layers, texts)]
             continue
         for s, rendered in rows:
             run = component_type.run_fields(s, mu)
@@ -241,11 +237,11 @@ def _write_catalog(out: TextIO, form: str, n: int, k: int, classified: Iterable[
     """Write the catalog of ``classified``, (partition, class key) pairs, to
     ``out`` row by row: JSON as ``json.dumps(..., indent=2)`` lays out n, k,
     form and the entries' ``to_dict``, CSV with a column per ``to_dict`` field
-    and the singularity's fields in its place, or markdown as _MARKDOWN_HEADERS."""
+    and the singularity's fields in its place, or markdown headed as in _LABELS."""
     rows = _catalog_rows(FORMS[form], n, k, classified, fmt)
     names = next(rows)
     if fmt != "json":
-        header = [_MARKDOWN_HEADERS[key] for key in names] if fmt == "markdown" else names
+        header = [_LABELS[key][0] for key in names] if fmt == "markdown" else names
         write_grid(out, chain([header], rows), fmt)
         return
     out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
@@ -467,15 +463,9 @@ def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form
     entry = entries[omega_exponent]
     if fmt == "json":
         text = json.dumps(entry.to_dict(), indent=2)
-    elif form == "complex":
-        text = (f"mu={entry.partition} omega={_omega_str(entry, k)} |X|={entry.multiplicity} "
-                f"variety={_variety_str(entry)}")
     else:
-        text = (
-            f"mu={entry.partition} omega={_omega_str(entry, k)} |X|={entry.multiplicity} "
-            f"base=T^{entry.torus_dim} fiber={','.join(str(d) for d in entry.fiber_simplex_dims)} "
-            f"C_d={entry.cyclic_order} orientation_preserving={_flag(entry.action_orientation_preserving)}"
-        )
+        text = " ".join(f"{_LABELS[name][1]}={_markdown_cell(name, value)}"
+                        for name, value in _markdown_fields(entry, k) if _LABELS[name][1])
     with _stdout() as out:
         click.echo(text, file=out)
 

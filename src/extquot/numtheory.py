@@ -1,16 +1,13 @@
 """Exact integer arithmetic helpers.
 
 Everything in this module is pure, deterministic and carried out in
-arbitrary-precision integers (rationals where a derivation calls for them);
-no floating point is used anywhere.
+arbitrary-precision integers; no floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 
@@ -38,17 +35,13 @@ def pillai(a: int) -> int:
 
 
 def pillai_via_totient(a: int) -> int:
-    """Pillai's function computed as a * sum over divisors d of a of phi(d)/d.
-
-    The sum is accumulated in exact rational arithmetic and checked to be
-    integral; the result always equals ``pillai(a)``.
+    """Pillai's function computed as the sum over divisors d of a of
+    d * phi(a/d): gcd(a, s) = d for exactly phi(a/d) of s = 0, ..., a-1.
+    The result always equals ``pillai(a)``.
     """
     if a < 1:
         raise ValueError("pillai_via_totient is defined for positive integers")
-    total = sum(Fraction(totient(d), d) for d in divisors(a))
-    result = a * total
-    assert result.denominator == 1
-    return result.numerator
+    return sum(d * totient(a // d) for d in divisors(a))
 
 
 def totient(n: int) -> int:
@@ -176,7 +169,7 @@ def unimodular_completion(v: Sequence[int]) -> UnimodularMatrix:
     vec = list(v)
     if not vec or all(x == 0 for x in vec):
         raise ValueError("cannot complete the zero vector")
-    g = reduce(math.gcd, (abs(x) for x in vec))
+    g = math.gcd(*vec)
     w = [x // g for x in vec]
     b = len(w)
     if b == 1:

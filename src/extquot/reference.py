@@ -7,8 +7,10 @@ orientability table).  They are checked in as plain text precisely so they
 are reviewable, and they are never regenerated from the code they verify.
 
 :func:`verify` recomputes every cell of a table and reports per-cell
-mismatches; the property suites re-run the cross-cutting identities (closed
-form vs. brute force, duality, Euler characteristic, top Betti numbers).
+mismatches: the Betti and K-theory fixtures are diffed with the grids the
+``table`` command prints, every column of either, and the catalogs field by
+field.  The property suites re-run the cross-cutting identities (closed form
+vs. brute force, duality, Euler characteristic, top Betti numbers).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .complex_quotient import (
 from .numtheory import divisor_sigma, divisors, pillai, pillai_via_totient
 from .partitions import Partition
 from .real_quotient import RealComponent, bundle_orientable_k1
-from .topology import betti, euler_characteristic, ktheory_ranks, top_betti
+from .topology import betti, betti_grid, betti_table, euler_characteristic, ktheory_grid, ktheory_table, top_betti
 
 TABLE_IDS = (
     "betti_k1",
@@ -173,11 +175,11 @@ def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict
 def verify(table_id: str, *, fixture_dir: str | Path | None = None) -> DiffReport:
     """Recompute every cell of the table and diff it against the fixture."""
     rows = load_rows(table_id, fixture_dir)
-    if table_id in ("betti_k1", "betti_k2"):
-        k = 1 if table_id == "betti_k1" else 2
-        return _verify_betti(table_id, rows, k)
-    if table_id == "ktheory":
-        return _verify_ktheory(table_id, rows)
+    if table_id in ("betti_k1", "betti_k2", "ktheory"):
+        max_n = max((int(row["n"]) for row in rows), default=0)
+        if table_id == "ktheory":
+            return _verify_grid(table_id, rows, ktheory_grid(ktheory_table(max_n)), "k=")
+        return _verify_grid(table_id, rows, betti_grid(betti_table(max_n, 1 if table_id == "betti_k1" else 2)), "")
     if table_id in ("sl6_catalogs", "sl16_examples"):
         return _verify_catalog(table_id, rows)
     if table_id == "su6_orientability":
@@ -185,33 +187,20 @@ def verify(table_id: str, *, fixture_dir: str | Path | None = None) -> DiffRepor
     raise ValueError(f"unknown reference table {table_id!r}")
 
 
-def _verify_betti(table_id, rows, k) -> DiffReport:
+def _verify_grid(table_id, rows, grid, prefix) -> DiffReport:
+    """Diff the fixture rows with ``grid``, the table as ``table`` prints it,
+    row by row keyed by n: every column either side has is compared, and a
+    cell one side lacks counts as blank.  A cell's location names its column
+    after ``prefix``."""
     report = DiffReport(table_id)
+    header, *lines = grid
+    printed = {line[0]: dict(zip(header, line)) for line in lines}
     for row in rows:
-        n = int(row["n"])
-        ranks = betti(n, k).ranks if n >= 1 and n % k == 0 else ()
-        degree = 0
-        while f"b_{degree}" in row:
-            actual = str(ranks[degree]) if degree < len(ranks) else ""
-            report.check(f"n={n} b_{degree}", row[f"b_{degree}"], actual)
-            degree += 1
-        for degree in range(degree, len(ranks)):  # degrees beyond the last column
-            report.check(f"n={n} b_{degree}", "", str(ranks[degree]))
-    return report
-
-
-def _verify_ktheory(table_id, rows) -> DiffReport:
-    report = DiffReport(table_id)
-    columns = [int(c) for c in rows[0] if c != "n"] if rows else []
-    for row in rows:
-        n = int(row["n"])
-        for k in columns:
-            if n % k == 0:
-                ranks = ktheory_ranks(n, k)
-                actual = f"{ranks.k0}/{ranks.k1}"
-            else:
-                actual = ""
-            report.check(f"n={n} k={k}", row[str(k)], actual)
+        n = row["n"]
+        cells = printed.get(n, {})
+        for column in dict.fromkeys([*row, *header]):
+            if column != "n":
+                report.check(f"n={n} {prefix}{column}", row.get(column) or "", cells.get(column, ""))
     return report
 
 

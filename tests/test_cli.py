@@ -317,6 +317,17 @@ def test_verify_betti_degree_beyond_the_last_column_is_a_mismatch(runner, tmp_pa
     assert "n=45 b_8: expected '', got '1'" in result.output
 
 
+def test_verify_betti_stray_column_is_a_mismatch(runner, tmp_path):
+    path = _fixture_copy(tmp_path) / "betti_k1.csv"
+    header, *lines = path.read_text().splitlines()
+    lines = [line + (",7" if line.startswith("45,") else ",") for line in lines]
+    path.write_text("\n".join([header + ",b_10", *lines]) + "\n")
+    result = _verify_table(runner, "betti_k1", tmp_path)
+    assert result.exit_code == 1
+    assert "n=45 b_10: expected '7', got ''" in result.output
+    assert "verification clean" not in result.output
+
+
 ENUMERATORS = ("enumerate_partitions", "classified_partitions")
 
 

@@ -5,7 +5,9 @@ printed it before its catalog engine and table writers were merged, or, for
 ``duality --n 30`` and ``--n 36``, before duality reports were shared per
 invariant class; n = 36 has the self-dual divisor k = 6.  ``verify all``
 was captured before the verifier counted its cells through one check, and
-pins every table's cell count.  They are
+pins every table's cell count.  The two ``component`` lines for n = 6,
+k = 1 were captured before the text line was built from the markdown
+fields, which at k = 1 include one the line leaves out.  They are
 regression snapshots, not reference data: the transcribed ground truth lives
 in ``src/extquot/data``.  Replace a snapshot only with a change that means to
 alter that output.
@@ -39,6 +41,9 @@ def _golden_commands() -> dict[str, list[str]]:
             commands[f"component_n16_k8_2444_w1_{form}.{ext}"] = [
                 "component", *lookup, "--omega-exponent", "1", "--form", form, "--format", fmt,
             ]
+        commands[f"component_n6_k1_1122_{form}.txt"] = [
+            "component", "--n", "6", "--k", "1", "--partition", "1,1,2,2", "--form", form, "--format", "text",
+        ]
     commands["table_betti_k1.md"] = ["table", "betti", "--max-n", "45", "--k", "1", "--format", "markdown"]
     commands["table_betti_k2_even.md"] = [
         "table", "betti", "--max-n", "60", "--k", "2", "--even-only", "--format", "markdown",
