@@ -10,8 +10,11 @@ one that closes the pipe early only ends the printing.
 
 ``decompose`` writes each catalog row as soon as it is produced.  The
 enumerator keys each partition by the gcd of its parts and its sorted
-multiplicities, which fix (g, m, b, c, p); each class's invariants, strata
-and cells are computed and held once, so memory does not grow with rows.
+multiplicities, which fix (g, m, b, c, p); each class's invariants and
+strata are computed once, and each of its rows is rendered once as a text
+template with a gap for each run-order cell.  The gaps of every partition
+of the class are filled from the rendered text of its (part, multiplicity)
+runs, so memory grows with the classes and the distinct runs, not with rows.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import chain
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
 import click
@@ -30,7 +33,7 @@ from . import reference, topology
 from .complex_quotient import ComplexComponent, Stratum, catalog_rows, partition_components, strata
 from .partitions import Partition, classified_partitions, invariants, partition_count
 from .real_quotient import RealComponent
-from .topology import betti, duality_reports, euler_characteristic, ktheory_ranks, write_grid
+from .topology import betti, duality_reports, euler_characteristic, grid_line, grid_lines, ktheory_ranks
 
 FORMS = {"complex": ComplexComponent, "real": RealComponent}
 # A full catalog is streamed, so this bounds the size of its output: about
@@ -125,25 +128,23 @@ _LABELS = {
 
 
 def _json_fields(entry, k: int) -> list[tuple[str, object]]:
-    """The items of ``entry.to_dict()``, with the partition itself in place
-    of its list of parts."""
-    return [(key, entry.partition if key == "partition" else value) for key, value in entry.to_dict().items()]
+    """The items of ``entry.to_dict()``."""
+    return list(entry.to_dict().items())
 
 
 def _json_cell(key: str, value) -> str:
     """A field as it stands inside the entries of ``json.dumps(catalog,
-    indent=2)``: its key, then its own dump indented three levels.  The
-    run-order fields every row renders, a flag, a partition or a nonempty
-    tuple of integers, are laid out without ``json.dumps``."""
-    if isinstance(value, bool):
+    indent=2)``: its key, then its own dump indented three levels.  A flag,
+    an integer or a nonempty list or tuple of integers is laid out without
+    ``json.dumps``."""
+    if type(value) is bool:
         return f'      "{key}": {"true" if value else "false"}'
-    if isinstance(value, Partition):
-        items = value.joined(",\n        ")
-    elif isinstance(value, tuple) and value:
+    if type(value) is int:
+        return f'      "{key}": {value}'
+    if isinstance(value, (list, tuple)) and value:
         items = ",\n        ".join(map(str, value))
-    else:
-        return f'      "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n      ")
-    return f'      "{key}": [\n        {items}\n      ]'
+        return f'      "{key}": [\n        {items}\n      ]'
+    return f'      "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n      ")
 
 
 def _csv_fields(entry, k: int) -> list[tuple[str, object]]:
@@ -156,14 +157,16 @@ def _csv_fields(entry, k: int) -> list[tuple[str, object]]:
 
 
 def _csv_cell(key: str, value) -> str:
+    """A partition's parts joined by "+", another list's entries by spaces,
+    and a flag as yes or no."""
     if isinstance(value, (list, tuple)):
-        return " ".join(map(str, value))
+        return ("+" if key == "partition" else " ").join(map(str, value))
     return _flag(value) if isinstance(value, bool) else str(value)
 
 
 def _markdown_fields(entry, k: int) -> list[tuple[str, object]]:
     """The markdown columns of ``entry``, headed as in _LABELS."""
-    fields = [("partition", entry.partition), ("omega", _omega_str(entry, k)),
+    fields = [("partition", entry.partition.parts), ("omega", _omega_str(entry, k)),
               ("multiplicity", entry.multiplicity)]
     if entry.form == "complex":
         fields.append(("variety", _variety_str(entry)))
@@ -181,8 +184,10 @@ def _markdown_fields(entry, k: int) -> list[tuple[str, object]]:
 
 
 def _markdown_cell(key: str, value) -> str:
+    """A partition's parts joined by "+", another tuple's entries by commas,
+    and a flag as yes or no."""
     if isinstance(value, tuple):
-        return ",".join(map(str, value))
+        return ("+" if key == "partition" else ",").join(map(str, value))
     return _flag(value) if isinstance(value, bool) else str(value)
 
 
@@ -192,44 +197,97 @@ _FORMATS = {
     "csv": (_csv_fields, _csv_cell),
     "markdown": (_markdown_fields, _markdown_cell),
 }
+# Stands for a gap in a row's text; no cell contains it.
+_GAP = "\ue000"
+
+
+class _Rendered(dict):
+    """Texts by key, each rendered by ``render(key)`` when first asked for."""
+
+    def __init__(self, render: Callable[[Hashable], object]) -> None:
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: Hashable) -> object:
+        text = self[key] = self.render(key)
+        return text
 
 
 def _catalog_rows(component_type: type, n: int, k: int, classified: Iterable[tuple[Partition, Hashable]],
-                  fmt: str) -> Iterator[list[str]]:
-    """The field names of a row, then the cells of every row of the catalog
-    of the partitions in ``classified``, in omega order within each
-    partition.  Each comes with a key it shares exactly with its class.
+                  fmt: str) -> Iterator[str]:
+    """The text of every row of the catalog of the partitions in
+    ``classified``, in omega order within each partition, each with a key it
+    shares exactly with its class; a CSV or markdown catalog starts with its
+    header line.
 
-    Only a row's ``run_fields`` depend on more than its partition's
-    invariant class and omega.  So the first partition of each class computes
-    the class's invariants and strata once, with its components' cells, and
-    the class keeps all of them except the run-order ones; every later
-    partition copies them and renders only its own run-order cells.  The
-    classes live for one call.
+    Only a row's run-order fields (``component_type.run_fields``) depend on
+    more than its partition's invariant class and omega.  So the first
+    partition of each class computes the class's invariants and strata once,
+    and renders each of its rows once as a template: the row's text with a
+    named gap for each run-order cell.  Every partition of the class fills
+    the gaps.  The gap of a field ``run_items`` lists is joined from the
+    fragments of the partition's runs, each rendered once per fibre order d;
+    the gap of a ``run_flags`` field is its cell, rendered once per value.
+    Templates and fragments live for one call: they grow with the classes
+    and the distinct runs, not with the rows.
     """
     fields, cell = _FORMATS[fmt]
-    classes: dict[Hashable, list[tuple[Stratum, list[str]]]] = {}
-    slots: dict[int, str] = {}
+    classes: dict[Hashable, list[tuple[str, Stratum, dict[tuple[int, int], tuple[str, ...]]]]] = {}
     for mu, key in classified:
         rows = classes.get(key)
         if rows is None:
             layers = strata(invariants(mu), n, k)
             named = [fields(component_type.from_stratum(s, mu), k) for s in layers]
             if not classes:
-                run_keys = component_type.run_fields(layers[0], mu)
-                slots = {i: name for i, (name, _) in enumerate(named[0]) if name in run_keys}
-                yield [name for name, _ in named[0]]
-            texts = [[cell(name, value) for name, value in row] for row in named]
-            yield from texts
-            classes[key] = [(s, ["" if i in slots else text for i, text in enumerate(row)])
-                            for s, row in zip(layers, texts)]
-            continue
-        for s, rendered in rows:
-            run = component_type.run_fields(s, mu)
-            row = rendered.copy()
-            for i, name in slots.items():
-                row[i] = cell(name, run[name])
-            yield row
+                names = [name for name, _ in named[0]]
+                if fmt != "json":
+                    yield from grid_lines([[_LABELS[name][0] for name in names] if fmt == "markdown" else names], fmt)
+                listed = [name for name in component_type.run_items(layers[0].d, *mu.runs[0]) if name in names]
+                flags = [name for name in component_type.run_flags(layers[0], mu) if name in names]
+                # A listed field's cell is prefix + its entries joined by separator + suffix.
+                layouts = {name: cell(name, (_GAP, _GAP)).split(_GAP) for name in listed}
+                separators = [separator for _, separator, _ in layouts.values()]
+                gaps = {name: f"{_escaped(prefix)}%({name})s{_escaped(suffix)}"
+                        for name, (prefix, _, suffix) in layouts.items()}
+                gaps.update((name, f"%({name})s") for name in flags)
+                fragments = _Rendered(lambda d: _run_fragments(component_type, d, cell, layouts))
+                flag_cells = _Rendered(lambda item: cell(*item))
+            rows = classes[key] = [
+                (_row_text([gaps[name] if name in gaps else _escaped(cell(name, value)) for name, value in row], fmt),
+                 s, fragments[s.d])
+                for s, row in zip(layers, named)]
+            # The flags of the class's first partition are among its fields.
+            flag_values = [dict(row) for row in named] if flags else repeat(None)
+        elif flags:
+            flag_values = [component_type.run_flags(s, mu) for _, s, _ in rows]
+        for (template, _, runs), values in zip(rows, flag_values):
+            filled = dict(zip(listed, map(str.join, separators, zip(*[runs[run] for run in mu.runs]))))
+            for name in flags:
+                filled[name] = flag_cells[name, values[name]]
+            yield template % filled
+
+
+def _escaped(text: str) -> str:
+    """``text`` as it stands in a %-template."""
+    return text.replace("%", "%%")
+
+
+def _run_fragments(component_type: type, d: int, cell: Callable[[str, object], str],
+                   layouts: dict[str, list[str]]) -> _Rendered:
+    """By run (part, mult): the text of its entries within the cell of each
+    field ``layouts`` names, in a stratum of fibre order d, which is the cell
+    without the prefix and suffix of the field's layout."""
+    def render(run: tuple[int, int]) -> tuple[str, ...]:
+        items = component_type.run_items(d, *run)
+        texts = [(cell(name, items[name]), prefix, suffix) for name, (prefix, _, suffix) in layouts.items()]
+        return tuple(text[len(prefix):len(text) - len(suffix)] for text, prefix, suffix in texts)
+    return _Rendered(render)
+
+
+def _row_text(texts: list[str], fmt: str) -> str:
+    """The text of a row with cells ``texts``: a JSON entry, or a line of the
+    CSV or markdown grid."""
+    return "    {\n" + ",\n".join(texts) + "\n    }" if fmt == "json" else grid_line(texts, fmt)
 
 
 def _write_catalog(out: TextIO, form: str, n: int, k: int, classified: Iterable[tuple[Partition, Hashable]],
@@ -239,15 +297,13 @@ def _write_catalog(out: TextIO, form: str, n: int, k: int, classified: Iterable[
     form and the entries' ``to_dict``, CSV with a column per ``to_dict`` field
     and the singularity's fields in its place, or markdown headed as in _LABELS."""
     rows = _catalog_rows(FORMS[form], n, k, classified, fmt)
-    names = next(rows)
     if fmt != "json":
-        header = [_LABELS[key][0] for key in names] if fmt == "markdown" else names
-        write_grid(out, chain([header], rows), fmt)
+        out.writelines(rows)
         return
     out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
     separator = ""
     for row in rows:
-        out.write(separator + "    {\n" + ",\n".join(row) + "\n    }")
+        out.write(separator + row)
         separator = ",\n"
     out.write("\n  ]\n}\n")
 
@@ -349,7 +405,7 @@ def table_cmd(kind: str, max_n: int, k: int, even_only: bool, fmt: str) -> None:
     else:
         grid = topology.ktheory_grid(topology.ktheory_table(max_n))
     with _stdout() as out:
-        write_grid(out, grid, fmt)
+        out.writelines(grid_lines(grid, fmt))
 
 
 @main.command(name="duality")

@@ -189,9 +189,28 @@ class Component:
     @classmethod
     def run_fields(cls, s: Stratum, mu: Partition) -> dict:
         """The fields of the component of the stratum ``s`` of ``mu`` that
-        follow the run order of ``mu``.  Every other field depends on the
-        partition only through its invariants (g, m, b, c, p) and on omega."""
-        return {"partition": mu}
+        follow the run order of ``mu``: the partition itself, each field
+        whose entries ``run_items`` lists run by run, and ``run_flags``.
+        Every other field depends on the partition only through its
+        invariants (g, m, b, c, p) and on omega."""
+        fields: dict = {}
+        for part, mult in mu.runs:
+            for name, items in cls.run_items(s.d, part, mult).items():
+                fields[name] = fields.get(name, ()) + items
+        return {**fields, "partition": mu, **cls.run_flags(s, mu)}
+
+    @classmethod
+    def run_items(cls, d: int, part: int, mult: int) -> dict[str, tuple[int, ...]]:
+        """The entries that the run (part, mult) of a partition adds, in a
+        stratum whose fibre group has order d, to each field listing the
+        runs in order of part size: to the partition, its parts."""
+        return {"partition": (part,) * mult}
+
+    @classmethod
+    def run_flags(cls, s: Stratum, mu: Partition) -> dict:
+        """The fields of the component of the stratum ``s`` of ``mu`` that
+        read all the runs of ``mu`` together."""
+        return {}
 
     def to_dict(self) -> dict:
         return {

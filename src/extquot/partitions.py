@@ -70,12 +70,9 @@ class Partition:
         """All parts, ascending, with repetition."""
         return tuple(p for p, m in self.runs for _ in range(m))
 
-    def joined(self, separator: str) -> str:
-        """The parts, ascending with repetition, joined by ``separator``."""
-        return separator.join([separator.join([str(p)] * m) for p, m in self.runs])
-
     def __str__(self) -> str:
-        return self.joined("+") if self.runs else "0"
+        """The parts, ascending with repetition, joined by "+"."""
+        return "+".join(["+".join([str(p)] * m) for p, m in self.runs]) if self.runs else "0"
 
     def run_length_str(self) -> str:
         return ",".join(f"{p}^{m}" for p, m in self.runs) if self.runs else "0"

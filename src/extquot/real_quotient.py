@@ -41,15 +41,17 @@ class RealComponent(Component):
     bundle_orientable: bool | None = None
 
     @classmethod
-    def run_fields(cls, s: Stratum, mu: Partition) -> dict:
-        """The partition, and the simplex dimensions, join counts and bundle
-        orientability, which list or read the runs in order of part size."""
-        return {
-            **super().run_fields(s, mu),
-            "fiber_simplex_dims": tuple([m - 1 for _, m in mu.runs]),
-            "join_counts": tuple([m // s.d for _, m in mu.runs]),
-            "bundle_orientable": bundle_orientable_k1(mu) if s.k == 1 else None,
-        }
+    def run_items(cls, d: int, part: int, mult: int) -> dict[str, tuple[int, ...]]:
+        """A run of mult parts adds one simplex of dimension mult - 1, a join
+        of mult / d smaller ones."""
+        return {**super().run_items(d, part, mult), "fiber_simplex_dims": (mult - 1,),
+                "join_counts": (mult // d,)}
+
+    @classmethod
+    def run_flags(cls, s: Stratum, mu: Partition) -> dict:
+        """The bundle orientability, which pairs each part with its
+        multiplicity."""
+        return {"bundle_orientable": bundle_orientable_k1(mu) if s.k == 1 else None}
 
     @property
     def cyclic_order(self) -> int:

@@ -76,7 +76,8 @@ CELL_PATTERNS = {
 
 class FixtureError(ValueError):
     """A reference fixture is missing or empty, lacks a required column, has
-    a malformed cell, or lacks, repeats or adds a key."""
+    a row wider or narrower than its header or a malformed cell, or lacks,
+    repeats or adds a key."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,9 @@ def fixture_text(table_id: str, fixture_dir: str | Path | None = None) -> str:
 
 
 def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict[str, str]]:
-    """The fixture's rows, after checking its header, the form of its number
-    and partition cells and its keys; raises :class:`FixtureError` naming the
-    table and the file."""
+    """The fixture's rows, after checking its header, that each row has a
+    cell per column, the form of its number and partition cells and its
+    keys; raises :class:`FixtureError` naming the table and the file."""
     path = fixture_path(table_id, fixture_dir)
 
     def error(problem: str) -> FixtureError:
@@ -136,9 +137,9 @@ def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
-            rows = list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            lines = [(reader.line_num, cells) for cells in reader if cells]
     except FileNotFoundError:
         raise error("no such file") from None
     if not header:
@@ -150,10 +151,15 @@ def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict
         raise error("a column name appears twice")
     if table_id == "ktheory" and not all(c == "n" or re.fullmatch(CELL_PATTERNS["k"], c) for c in header):
         raise error("every column but n must be a positive k")
-    for line, row in enumerate(rows, start=2):
+    rows = []
+    for line, cells in lines:
+        if len(cells) != len(header):
+            raise error(f"line {line}: {len(cells)} cells, but the header has {len(header)}")
+        row = dict(zip(header, cells))
         for column, pattern in CELL_PATTERNS.items():
-            if column in header and not re.fullmatch(pattern, row[column] or ""):
+            if column in header and not re.fullmatch(pattern, row[column]):
                 raise error(f"line {line}: malformed {column} cell {row[column]!r}")
+        rows.append(row)
     if rows and table_id in EXPECTED_KEYS:
         if table_id == "ktheory":
             keys = [(int(row["n"]), int(c)) for row in rows for c in header if c != "n"]

@@ -23,7 +23,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence
 
 from .complex_quotient import (
     Stratum,
@@ -244,14 +244,26 @@ def ktheory_grid(rows: Sequence[tuple[int, dict[int, KTheoryRanks]]]) -> list[li
     return grid
 
 
-def write_grid(out: TextIO, rows: Iterable[Sequence[str]], fmt: str) -> None:
-    """Write a table whose first row is its header to ``out`` row by row, as
-    CSV or as a markdown grid."""
+class _Echo:
+    """A file whose ``write`` returns the text it is given, so that
+    ``csv.writer(...).writerow``, which returns what ``write`` returns, gives
+    the line it formats."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def grid_line(row: Sequence[str], fmt: str) -> str:
+    """One line, newline included, of a CSV or markdown grid."""
     if fmt == "csv":
-        csv.writer(out, lineterminator="\n").writerows(rows)
-        return
-    rows = iter(rows)
-    header = next(rows)
-    out.write("| " + " | ".join(header) + " |\n|" + "---|" * len(header) + "\n")
-    for row in rows:
-        out.write("| " + " | ".join(row) + " |\n")
+        return csv.writer(_Echo(), lineterminator="\n").writerow(row)
+    return "| " + " | ".join(row) + " |\n"
+
+
+def grid_lines(rows: Iterable[Sequence[str]], fmt: str) -> Iterator[str]:
+    """The lines, newline included, of a table whose first row is its header:
+    CSV, or a markdown grid whose header line carries the rule under it."""
+    for i, row in enumerate(rows):
+        line = grid_line(row, fmt)
+        yield line + "|" + "---|" * len(row) + "\n" if i == 0 and fmt == "markdown" else line

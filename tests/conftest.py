@@ -13,7 +13,6 @@ grids of a held catalog instead of rows streamed from per-class cells.
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +30,7 @@ from extquot.complex_quotient import (
     variety_normal_form,
 )
 from extquot.partitions import enumerate_partitions
-from extquot.topology import BettiVector, ClassDuality, DualityReport, betti, write_grid
+from extquot.topology import BettiVector, ClassDuality, DualityReport, betti, grid_lines
 
 
 def plain_cofactor_det(rows) -> int:
@@ -231,10 +230,8 @@ def betti_from_catalog(n: int, k: int, entries) -> BettiVector:
 
 
 def grid_text(rows, fmt: str) -> str:
-    """What :func:`extquot.topology.write_grid` writes for ``rows``."""
-    out = io.StringIO()
-    write_grid(out, rows, fmt)
-    return out.getvalue()
+    """The text of :func:`extquot.topology.grid_lines` for ``rows``."""
+    return "".join(grid_lines(rows, fmt))
 
 
 def catalog_json_dict(n: int, k: int, form: str, entries) -> dict:

@@ -1,7 +1,9 @@
 """The streamed catalog writer behind ``decompose``.
 
 Large catalogs are pinned by the SHA-256 of their stdout, taken before the
-catalog was streamed row by row; they are too large for ``tests/golden/``.
+catalog was streamed row by row, except the complex (40, 4) CSV and (40, 2)
+markdown ones, taken before rows were filled in from per-class templates;
+they are too large for ``tests/golden/``.
 The duality reports of 40 are pinned beside them, taken while every report
 still labelled all partitions of 40.
 Small catalogs are compared byte for byte with the held-catalog rendering
@@ -15,10 +17,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import extquot
 from conftest import _catalog_csv_rows, _catalog_grid, catalog_json_dict, grid_text
@@ -26,7 +31,7 @@ from extquot import cli, real_quotient
 from extquot.cli import FORMS, main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose, partition_components, strata
 from extquot.numtheory import divisors
-from extquot.partitions import invariants, partition_count
+from extquot.partitions import Partition, classified_partitions, invariants, partition_count
 from extquot.real_quotient import bundle_orientable_k1
 
 FORMATS = ("json", "csv", "markdown")
@@ -40,6 +45,10 @@ PINNED = {
         "febf5f76635c320249719d5e9c4802af1684d101e6562b12ad801d2144953488",
     ("--n", "36", "--k", "6", "--form", "real", "--format", "json"):
         "57c48824f1ef991e5e9967b0c3aa54e247b4b6fedc7846f906b51b1e837f1e5c",
+    ("--n", "40", "--k", "4", "--format", "csv"):
+        "8c800acb370de0a2fa40d793b80a30c3b6975740ad799333083107ea65492d8f",
+    ("--n", "40", "--k", "2", "--format", "markdown"):
+        "2380a586d3fe2a05509d5357010faf79bb259f1d9cdf4da56406c364fbf06f41",
 }
 
 
@@ -100,6 +109,26 @@ def test_streamed_lookup_matches_held_rendering(n, k, text):
             assert result.stdout == _held_rendering(n, k, form, entries, fmt), (form, fmt)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40),
+                       min_size=1, max_size=5), st.data())
+def test_lookup_of_long_runs_matches_held_rendering(runs, data):
+    """Lookups go through the catalog writer: a run-length partition with
+    parts and multiplicities up to 40, and so multi-digit parts in long runs,
+    prints as its held rendering for a divisor k of n, in either form and
+    every format."""
+    mu = Partition(sum(part * mult for part, mult in runs.items()), tuple(sorted(runs.items())))
+    k = data.draw(st.sampled_from(divisors(mu.n)))
+    runner = CliRunner()
+    for form, component_type in FORMS.items():
+        entries = partition_components(component_type, mu, mu.n, k)
+        for fmt in FORMATS:
+            result = runner.invoke(main, ["decompose", "--n", str(mu.n), "--k", str(k), "--partition",
+                                          mu.run_length_str(), "--form", form, "--format", fmt])
+            assert result.exit_code == 0, result.output
+            assert result.stdout == _held_rendering(mu.n, k, form, entries, fmt), (form, fmt)
+
+
 def test_catalog_builds_strata_once_per_class(monkeypatch):
     """The 627 partitions of 20 fall in 177 invariant classes; writing the
     (20, 4) catalog builds the strata of each class once, in either form and
@@ -153,6 +182,36 @@ def test_real_catalog_computes_run_fields_once_per_row(monkeypatch):
     result = CliRunner().invoke(main, ["decompose", "--n", "20", "--form", "real", "--format", "csv"])
     assert result.exit_code == 0, result.output
     assert len(calls) == partition_count(20) + 1 == 628
+
+
+@pytest.mark.parametrize("form, k", [("complex", 4), ("real", 4), ("real", 1)])
+def test_catalog_renders_run_order_cells_per_run(monkeypatch, form, k):
+    """Writing the (20, k) catalog renders each run-order cell once per
+    distinct run and fibre order d, and once more to lay out its field: far
+    fewer times than there are rows."""
+    component_type = FORMS[form]
+    rows = 0
+    fragments = set()
+    names = set()
+    for mu, _ in classified_partitions(20):
+        layers = strata(invariants(mu), 20, k)
+        rows += len(layers)
+        fragments.update((s.d, run) for s in layers for run in mu.runs)
+        names.update(component_type.run_fields(layers[0], mu))
+    bound = len(fragments) + 1
+    assert bound < rows
+    calls = Counter()
+    for fmt, (fields, cell) in cli._FORMATS.items():
+        def counted(name, value, cell=cell):
+            calls[name] += 1
+            return cell(name, value)
+        monkeypatch.setitem(cli._FORMATS, fmt, (fields, counted))
+    runner = CliRunner()
+    for fmt in FORMATS:
+        calls.clear()
+        result = runner.invoke(main, ["decompose", "--n", "20", "--k", str(k), "--form", form, "--format", fmt])
+        assert result.exit_code == 0, result.output
+        assert all(calls[name] <= bound for name in names), (fmt, calls, bound)
 
 
 @pytest.mark.parametrize("fmt, first_line", [

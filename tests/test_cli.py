@@ -328,6 +328,20 @@ def test_verify_betti_stray_column_is_a_mismatch(runner, tmp_path):
     assert "verification clean" not in result.output
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+def test_verify_row_of_the_wrong_width_is_a_data_error(runner, tmp_path, extra):
+    """A betti_k1 row with one cell more or one fewer than the header is a
+    malformed fixture, not a mismatch in a column named None or a blank."""
+    path = _fixture_copy(tmp_path) / "betti_k1.csv"
+    header, *lines = path.read_text().splitlines()
+    row = lines[5] + ",99" if extra > 0 else lines[5].rsplit(",", 1)[0]
+    path.write_text("\n".join([header, *lines[:5], row, *lines[6:]]) + "\n")
+    result = _verify_table(runner, "betti_k1", tmp_path)
+    _assert_data_error(result, "betti_k1", path)
+    columns = header.count(",") + 1
+    assert f"line 7: {columns + extra} cells, but the header has {columns}" in result.stderr
+
+
 ENUMERATORS = ("enumerate_partitions", "classified_partitions")
 
 
