@@ -9,11 +9,11 @@ deterministic across runs, and the exit status never depends on the reader:
 one that closes the pipe early only ends the printing.
 
 ``decompose`` writes each catalog row as soon as it is produced.  The
-enumerator keys each partition by the gcd of its parts and its sorted
-multiplicities, which fix (g, m, b, c, p); each class's invariants and
-strata are computed once, and each of its rows is rendered once as a text
-template with a gap for each run-order cell.  The gaps of every partition
-of the class are filled from the rendered text of its (part, multiplicity)
+enumerator yields each partition's (part, multiplicity) runs, keyed by the
+gcd of its parts and its sorted multiplicities, which fix (g, m, b, c, p);
+each class builds one Partition, its invariants and strata, and renders each
+of its rows once as a text template with a gap for each run-order cell.  The
+gaps of every partition of the class are filled from the rendered text of its
 runs, so memory grows with the classes and the distinct runs, not with rows.
 """
 
@@ -29,7 +29,7 @@ from typing import Callable, Hashable, Iterable, Iterator, TextIO
 
 import click
 
-from . import reference, topology
+from . import __version__, reference, topology
 from .complex_quotient import ComplexComponent, Stratum, catalog_rows, partition_components, strata
 from .partitions import Partition, classified_partitions, invariants, partition_count
 from .real_quotient import RealComponent
@@ -127,31 +127,27 @@ _LABELS = {
 }
 
 
-def _json_fields(entry, k: int) -> list[tuple[str, object]]:
-    """The items of ``entry.to_dict()``."""
-    return list(entry.to_dict().items())
-
-
-def _json_cell(key: str, value) -> str:
-    """A field as it stands inside the entries of ``json.dumps(catalog,
-    indent=2)``: its key, then its own dump indented three levels.  A flag,
-    an integer or a nonempty list or tuple of integers is laid out without
-    ``json.dumps``."""
+def _json_cell(key: str, value, indent: str = "      ") -> str:
+    """A field as it stands ``indent`` deep, three levels in the entries of
+    ``json.dumps(catalog, indent=2)``: its key, then its own dump.  A flag, an
+    integer, a nonempty list or tuple of integers, or a nonempty dict of these
+    is laid out without ``json.dumps``."""
+    head, inner = f'{indent}"{key}": ', indent + "  "
     if type(value) is bool:
-        return f'      "{key}": {"true" if value else "false"}'
+        return head + ("true" if value else "false")
     if type(value) is int:
-        return f'      "{key}": {value}'
+        return head + str(value)
     if isinstance(value, (list, tuple)) and value:
-        items = ",\n        ".join(map(str, value))
-        return f'      "{key}": [\n        {items}\n      ]'
-    return f'      "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n      ")
+        return f"{head}[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]"
+    if isinstance(value, dict) and value:
+        return f"{head}{{\n" + ",\n".join(_json_cell(*item, inner) for item in value.items()) + f"\n{indent}}}"
+    return head + json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
 def _csv_fields(entry, k: int) -> list[tuple[str, object]]:
-    """The fields of ``entry.to_dict()`` with the singularity's fields in its
-    place."""
+    """The items of ``entry.to_dict()``, the singularity's in its place."""
     fields = []
-    for key, value in _json_fields(entry, k):
+    for key, value in entry.to_dict().items():
         fields.extend(value.items() if key == "singularity" else [(key, value)])
     return fields
 
@@ -193,7 +189,7 @@ def _markdown_cell(key: str, value) -> str:
 
 # Per format: the named fields of an entry, and the cell of one field.
 _FORMATS = {
-    "json": (_json_fields, _json_cell),
+    "json": (lambda entry, k: list(entry.to_dict().items()), _json_cell),
     "csv": (_csv_fields, _csv_cell),
     "markdown": (_markdown_fields, _markdown_cell),
 }
@@ -213,43 +209,45 @@ class _Rendered(dict):
         return text
 
 
-def _catalog_rows(component_type: type, n: int, k: int, classified: Iterable[tuple[Partition, Hashable]],
-                  fmt: str) -> Iterator[str]:
-    """The text of every row of the catalog of the partitions in
-    ``classified``, in omega order within each partition, each with a key it
-    shares exactly with its class; a CSV or markdown catalog starts with its
-    header line.
+def _catalog_rows(component_type: type, n: int, k: int,
+                  classified: Iterable[tuple[tuple[tuple[int, int], ...], Hashable]], fmt: str) -> Iterator[str]:
+    """The text of every row of the catalog of the partitions of n in
+    ``classified``, in omega order within each partition, each given by its
+    runs and a key it shares exactly with its class; a CSV or markdown
+    catalog starts with its header line.
 
     Only a row's run-order fields (``component_type.run_fields``) depend on
-    more than its partition's invariant class and omega.  So the first
-    partition of each class computes the class's invariants and strata once,
-    and renders each of its rows once as a template: the row's text with a
-    named gap for each run-order cell.  Every partition of the class fills
-    the gaps.  The gap of a field ``run_items`` lists is joined from the
-    fragments of the partition's runs, each rendered once per fibre order d;
-    the gap of a ``run_flags`` field is its cell, rendered once per value.
-    Templates and fragments live for one call: they grow with the classes
-    and the distinct runs, not with the rows.
+    more than its partition's invariant class and omega.  So only the first
+    partition of each class is built as a Partition: it computes the class's
+    invariants and strata once, and renders each of its rows once as a
+    template, the row's text with a %s gap for each run-order cell.  Every
+    partition of the class fills the gaps from its runs alone.  The gap of a
+    field ``run_items`` lists is joined from the fragments of the runs, each
+    rendered once per fibre order d; the gap of a ``run_flags`` field is its
+    cell, rendered once per value.  Templates and fragments live for one
+    call: they grow with the classes and the distinct runs, not with rows.
     """
     fields, cell = _FORMATS[fmt]
     classes: dict[Hashable, list[tuple[str, Stratum, dict[tuple[int, int], tuple[str, ...]]]]] = {}
-    for mu, key in classified:
+    for runs, key in classified:
         rows = classes.get(key)
         if rows is None:
+            mu = Partition(n, runs)
             layers = strata(invariants(mu), n, k)
             named = [fields(component_type.from_stratum(s, mu), k) for s in layers]
             if not classes:
                 names = [name for name, _ in named[0]]
                 if fmt != "json":
                     yield from grid_lines([[_LABELS[name][0] for name in names] if fmt == "markdown" else names], fmt)
-                listed = [name for name in component_type.run_items(layers[0].d, *mu.runs[0]) if name in names]
-                flags = [name for name in component_type.run_flags(layers[0], mu) if name in names]
+                flagged = component_type.run_flags(layers[0], runs)
+                listed = [name for name in names if name in component_type.run_items(layers[0].d, *runs[0])]
+                flags = [name for name in names if name in flagged]
                 # A listed field's cell is prefix + its entries joined by separator + suffix.
                 layouts = {name: cell(name, (_GAP, _GAP)).split(_GAP) for name in listed}
                 separators = [separator for _, separator, _ in layouts.values()]
-                gaps = {name: f"{_escaped(prefix)}%({name})s{_escaped(suffix)}"
+                gaps = {name: f"{_escaped(prefix)}%s{_escaped(suffix)}"
                         for name, (prefix, _, suffix) in layouts.items()}
-                gaps.update((name, f"%({name})s") for name in flags)
+                gaps.update((name, "%s") for name in flags)
                 fragments = _Rendered(lambda d: _run_fragments(component_type, d, cell, layouts))
                 flag_cells = _Rendered(lambda item: cell(*item))
             rows = classes[key] = [
@@ -259,12 +257,11 @@ def _catalog_rows(component_type: type, n: int, k: int, classified: Iterable[tup
             # The flags of the class's first partition are among its fields.
             flag_values = [dict(row) for row in named] if flags else repeat(None)
         elif flags:
-            flag_values = [component_type.run_flags(s, mu) for _, s, _ in rows]
-        for (template, _, runs), values in zip(rows, flag_values):
-            filled = dict(zip(listed, map(str.join, separators, zip(*[runs[run] for run in mu.runs]))))
-            for name in flags:
-                filled[name] = flag_cells[name, values[name]]
-            yield template % filled
+            flag_values = [component_type.run_flags(s, runs) for _, s, _ in rows]
+        for (template, _, texts), values in zip(rows, flag_values):
+            # The gaps stand in row order, and every format puts flags after listed fields.
+            yield template % (*map(str.join, separators, zip(*[texts[run] for run in runs])),
+                              *[flag_cells[name, values[name]] for name in flags])
 
 
 def _escaped(text: str) -> str:
@@ -290,9 +287,9 @@ def _row_text(texts: list[str], fmt: str) -> str:
     return "    {\n" + ",\n".join(texts) + "\n    }" if fmt == "json" else grid_line(texts, fmt)
 
 
-def _write_catalog(out: TextIO, form: str, n: int, k: int, classified: Iterable[tuple[Partition, Hashable]],
-                   fmt: str) -> None:
-    """Write the catalog of ``classified``, (partition, class key) pairs, to
+def _write_catalog(out: TextIO, form: str, n: int, k: int,
+                   classified: Iterable[tuple[tuple[tuple[int, int], ...], Hashable]], fmt: str) -> None:
+    """Write the catalog of ``classified``, (runs, class key) pairs, to
     ``out`` row by row: JSON as ``json.dumps(..., indent=2)`` lays out n, k,
     form and the entries' ``to_dict``, CSV with a column per ``to_dict`` field
     and the singularity's fields in its place, or markdown headed as in _LABELS."""
@@ -324,7 +321,7 @@ def _stdout() -> Iterator[TextIO]:
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)
 def main() -> None:
     """Extended-quotient calculator for the tori of SL_n(C)/C_k and SU_n(C)/C_k."""
 
@@ -348,7 +345,7 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
                        f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
             ctx.exit(2)
     with _stdout() as out:
-        _write_catalog(out, form, n, k, [(partition, None)] if partition else classified_partitions(n), fmt)
+        _write_catalog(out, form, n, k, [(partition.runs, None)] if partition else classified_partitions(n), fmt)
 
 
 @main.command(name="betti")

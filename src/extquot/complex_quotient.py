@@ -197,7 +197,7 @@ class Component:
         for part, mult in mu.runs:
             for name, items in cls.run_items(s.d, part, mult).items():
                 fields[name] = fields.get(name, ()) + items
-        return {**fields, "partition": mu, **cls.run_flags(s, mu)}
+        return {**fields, "partition": mu, **cls.run_flags(s, mu.runs)}
 
     @classmethod
     def run_items(cls, d: int, part: int, mult: int) -> dict[str, tuple[int, ...]]:
@@ -207,9 +207,9 @@ class Component:
         return {"partition": (part,) * mult}
 
     @classmethod
-    def run_flags(cls, s: Stratum, mu: Partition) -> dict:
-        """The fields of the component of the stratum ``s`` of ``mu`` that
-        read all the runs of ``mu`` together."""
+    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> dict:
+        """The fields of the component of the stratum ``s`` of the partition
+        with (part, multiplicity) runs ``runs`` that read all of them together."""
         return {}
 
     def to_dict(self) -> dict:

@@ -14,14 +14,15 @@ Every downstream formula depends on the partition only through these numbers,
 so representative permutations are never materialized, and sums that need
 only (g, b) count the partitions per class without walking them.
 
-The enumerator steps from partition to partition on runs, and keys each by
-the gcd of its parts and its sorted multiplicities, a key in bijection with
-(g, m, b, c, p): catalogs and duality reports compute invariants per class.
+The enumerator steps on runs and yields bare runs, keyed by the gcd of the
+parts and the sorted multiplicities, a key in bijection with (g, m, b, c, p):
+catalogs and duality reports build Partitions and invariants per class.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -54,16 +55,10 @@ class Partition:
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
-        ordered = sorted(parts)
-        if any(p < 1 for p in ordered):
+        counts = Counter(parts)
+        if any(p < 1 for p in counts):
             raise ValueError("parts must be positive")
-        runs: list[tuple[int, int]] = []
-        for part in ordered:
-            if runs and runs[-1][0] == part:
-                runs[-1] = (part, runs[-1][1] + 1)
-            else:
-                runs.append((part, 1))
-        return cls(sum(ordered), tuple(runs))
+        return cls(sum(p * m for p, m in counts.items()), tuple(sorted(counts.items())))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -116,13 +111,13 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     if n == 0:
         yield Partition(0, ())
         return
-    for mu, _ in classified_partitions(n):
-        yield mu
+    for runs, _ in classified_partitions(n):
+        yield Partition(n, runs)
 
 
-def classified_partitions(n: int) -> Iterator[tuple[Partition, tuple[int, ...]]]:
-    """Yield every partition of n >= 1 in the order of enumerate_partitions,
-    with its class key: the gcd of its parts, then its sorted multiplicities.
+def classified_partitions(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
+    """Yield the runs of every partition of n >= 1 in enumerate_partitions
+    order with its class key: the part gcd, then the sorted multiplicities.
 
     Partitions share a key exactly when they share their invariants: b, c
     and m are the count, sum and gcd of the multiplicities, p_i counts those
@@ -136,7 +131,8 @@ def classified_partitions(n: int) -> Iterator[tuple[Partition, tuple[int, ...]]]
         raise ValueError("classified_partitions needs a positive integer")
     parts, mults = [n], [1]
     while True:
-        yield Partition(n, tuple(zip(parts[::-1], mults[::-1]))), (math.gcd(*parts), *sorted(mults))
+        # Sized exactly: tuple(zip(...)) resizes a 10-slot tuple, which fills the tuple free lists.
+        yield (*zip(parts[::-1], mults[::-1]),), (math.gcd(*parts), *sorted(mults))
         ones = mults.pop() if parts[-1] == 1 else 0
         if ones:
             parts.pop()

@@ -48,10 +48,10 @@ class RealComponent(Component):
                 "join_counts": (mult // d,)}
 
     @classmethod
-    def run_flags(cls, s: Stratum, mu: Partition) -> dict:
+    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> dict:
         """The bundle orientability, which pairs each part with its
         multiplicity."""
-        return {"bundle_orientable": bundle_orientable_k1(mu) if s.k == 1 else None}
+        return {"bundle_orientable": orientable_k1(s.invariants.g, runs) if s.k == 1 else None}
 
     @property
     def cyclic_order(self) -> int:
@@ -94,3 +94,8 @@ def bundle_orientable_k1(mu: Partition) -> bool:
     independent = any(mults_vec) and mults_vec != parts_vec
     return not independent
 
+
+def orientable_k1(g: int, runs: tuple[tuple[int, int], ...]) -> bool:
+    """:func:`bundle_orientable_k1` from the part-gcd g and per-run parities:
+    non-orientable iff some m is even and some run (j, m) has j/g + m even."""
+    return all(m & 1 for _, m in runs) or all((j // g + m) & 1 for j, m in runs)

@@ -178,11 +178,11 @@ def duality_reports(n: int) -> list[DualityReport]:
     the level of the underlying varieties (quasi-reflections discarded), and
     partitions are flagged when the varieties genuinely differ.
 
-    One pass over the partitions of n: the first partition of each class
-    computes the class's invariants, profiles each side (n, k) once and
-    compares the class for every k; every partition then joins the flagged
-    lists of the k whose varieties differ.  Each distinct singularity is
-    built and normalized once, and nothing but the reports outlives the call.
+    One pass over the runs of the partitions of n.  The first of each class
+    is built as a Partition for its invariants, each side (n, k) profiled
+    once and the class compared for every k; any other partition is built
+    only to join the flagged lists of the k whose varieties differ.  Each
+    distinct singularity is normalized once; only the reports outlive the call.
     """
     if n < 1:
         raise ValueError("duality_reports needs a positive integer")
@@ -191,14 +191,16 @@ def duality_reports(n: int) -> list[DualityReport]:
     classes: dict[int, list[ClassDuality]] = {k: [] for k in ks}
     flagged: dict[int, list[Partition]] = {k: [] for k in ks}
     differing: dict[tuple, tuple[int, ...]] = {}  # class key -> the k whose varieties differ
-    for mu, key in classified_partitions(n):
+    for runs, key in classified_partitions(n):
         if key not in differing:
-            inv = invariants(mu)
+            inv = invariants(Partition(n, runs))
             profiles = {k: _profile(strata(inv, n, k), forms) for k in ks}
             for k in ks:
                 (count, *multisets), (count_dual, *multisets_dual) = profiles[k], profiles[n // k]
                 classes[k].append(ClassDuality(count, count_dual, *map(operator.eq, multisets, multisets_dual)))
             differing[key] = tuple(k for k in ks if not classes[k][-1].variety_singularities_equal)
+        if differing[key]:
+            mu = Partition(n, runs)  # one, shared by the reports that flag it
         for k in differing[key]:
             flagged[k].append(mu)
     ranks = {k: betti(n, k).ranks for k in ks}

@@ -13,6 +13,7 @@ that ``decompose`` used to print.
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from extquot.cli import FORMS, main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose, partition_components, strata
 from extquot.numtheory import divisors
 from extquot.partitions import Partition, classified_partitions, invariants, partition_count
-from extquot.real_quotient import bundle_orientable_k1
+from extquot.real_quotient import orientable_k1
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -129,6 +130,22 @@ def test_lookup_of_long_runs_matches_held_rendering(runs, data):
             assert result.stdout == _held_rendering(mu.n, k, form, entries, fmt), (form, fmt)
 
 
+_JSON_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_KEYS, st.recursive(st.booleans() | st.integers() | st.lists(st.integers(), max_size=4),
+                                lambda values: st.dictionaries(_JSON_KEYS, values, max_size=4), max_leaves=12))
+def test_json_cell_matches_json_dumps(key, value):
+    """A field's JSON cell, laid out directly for flags, integers, integer
+    lists and dicts of these, nested or empty, is its slice of an entry in
+    ``json.dumps(..., indent=2)``."""
+    head, tail = '{\n  "entries": [\n    {\n', "\n    }\n  ]\n}"
+    dumped = json.dumps({"entries": [{key: value}]}, indent=2)
+    assert dumped.startswith(head) and dumped.endswith(tail)
+    assert cli._json_cell(key, value) == dumped[len(head):-len(tail)]
+
+
 def test_catalog_builds_strata_once_per_class(monkeypatch):
     """The 627 partitions of 20 fall in 177 invariant classes; writing the
     (20, 4) catalog builds the strata of each class once, in either form and
@@ -150,38 +167,51 @@ def test_catalog_builds_strata_once_per_class(monkeypatch):
 
 
 def test_catalog_classifies_once_per_class(monkeypatch):
-    """Writing the (20, 4) catalog computes the invariants of each of the 177
-    classes of the 627 partitions of 20 once, in either form."""
-    calls = []
+    """Writing the (20, 4) catalog builds a Partition for, and computes the
+    invariants of, each of the 177 classes of the 627 partitions of 20 once,
+    in either form; the other partitions stay bare runs."""
+    calls, built = [], []
 
     def counted(mu):
         calls.append(mu)
         return invariants(mu)
 
+    def validated(mu, check=Partition.__post_init__):
+        built.append(mu)
+        check(mu)
+
     monkeypatch.setattr(cli, "invariants", counted)
+    monkeypatch.setattr(Partition, "__post_init__", validated)
     runner = CliRunner()
     for form in FORMS:
         calls.clear()
+        built.clear()
         result = runner.invoke(main, ["decompose", "--n", "20", "--k", "4", "--form", form, "--format", "json"])
         assert result.exit_code == 0, result.output
         assert len(calls) == 177, form
         assert len({invariants(mu) for mu in calls}) == 177, form
+        assert len(built) == 177, form
 
 
 def test_real_catalog_computes_run_fields_once_per_row(monkeypatch):
     """Each row of the real (20, 1) catalog, one per partition of 20, reads
-    its partition's bundle orientability once; one more call names the
-    run-order columns."""
-    calls = []
+    its partition's bundle orientability once, from its class's part-gcd and
+    its runs; one more call names the run-order columns.  The oracle
+    bundle_orientable_k1, which recomputes the gcd from a Partition, is never
+    called."""
+    calls, oracle_calls = [], []
 
-    def counted(mu):
-        calls.append(mu)
-        return bundle_orientable_k1(mu)
+    def counted(g, runs):
+        calls.append((g, runs))
+        return orientable_k1(g, runs)
 
-    monkeypatch.setattr(real_quotient, "bundle_orientable_k1", counted)
+    monkeypatch.setattr(real_quotient, "orientable_k1", counted)
+    monkeypatch.setattr(real_quotient, "bundle_orientable_k1", oracle_calls.append)
     result = CliRunner().invoke(main, ["decompose", "--n", "20", "--form", "real", "--format", "csv"])
     assert result.exit_code == 0, result.output
     assert len(calls) == partition_count(20) + 1 == 628
+    assert all(g == math.gcd(*(j for j, _ in runs)) for g, runs in calls)
+    assert oracle_calls == []
 
 
 @pytest.mark.parametrize("form, k", [("complex", 4), ("real", 4), ("real", 1)])
@@ -193,7 +223,8 @@ def test_catalog_renders_run_order_cells_per_run(monkeypatch, form, k):
     rows = 0
     fragments = set()
     names = set()
-    for mu, _ in classified_partitions(20):
+    for runs, _ in classified_partitions(20):
+        mu = Partition(20, runs)
         layers = strata(invariants(mu), 20, k)
         rows += len(layers)
         fragments.update((s.d, run) for s in layers for run in mu.runs)

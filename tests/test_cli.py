@@ -162,6 +162,17 @@ def test_duality_reader_closing_early_exits_zero():
     assert stderr == b""
 
 
+def test_version_from_a_source_checkout():
+    """``--version`` reports ``extquot.__version__`` when the package runs
+    from its sources on PYTHONPATH, with no installed metadata to read."""
+    env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "extquot.cli", "--version"], capture_output=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout.decode().split()[-1] == extquot.__version__ == "0.1.0"
+
+
 def test_verify_fast_tables(runner):
     result = runner.invoke(main, [
         "verify", "paper",

@@ -57,15 +57,15 @@ def test_enumerators_match_descending_list_oracle():
     for n in range(1, 31):
         expected = [Partition.from_parts(a).runs for a in descending_partitions(n)]
         assert [mu.runs for mu in enumerate_partitions(n)] == expected, n
-        assert [mu.runs for mu, _ in classified_partitions(n)] == expected, n
+        assert [runs for runs, _ in classified_partitions(n)] == expected, n
 
 
 def test_class_key_is_in_bijection_with_invariants():
     """Partitions share a class key exactly when they share invariants."""
     for n in range(1, 31):
         by_key, by_invariants = {}, {}
-        for mu, key in classified_partitions(n):
-            inv = invariants(mu)
+        for runs, key in classified_partitions(n):
+            inv = invariants(Partition(n, runs))
             assert by_key.setdefault(key, inv) == inv, (n, key)
             assert by_invariants.setdefault(inv, key) == key, (n, inv)
         assert len(by_key) == len(by_invariants)

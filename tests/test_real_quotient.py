@@ -2,12 +2,14 @@ import math
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import betti_from_catalog, catalog_json_dict
 from extquot.complex_quotient import ComplexComponent, decompose, partition_components
 from extquot.numtheory import divisors
-from extquot.partitions import Partition, invariants, partition_count
-from extquot.real_quotient import RealComponent, bundle_orientable_k1
+from extquot.partitions import Partition, enumerate_partitions, invariants, partition_count
+from extquot.real_quotient import RealComponent, bundle_orientable_k1, orientable_k1
 
 
 def test_real_component_examples():
@@ -32,6 +34,28 @@ def test_bundle_orientability_examples():
     assert not bundle_orientable_k1(Partition.from_parts([1, 1, 2, 2]))
     assert bundle_orientable_k1(Partition.from_parts([1, 1, 4]))
     assert bundle_orientable_k1(Partition.from_parts([6]))
+
+
+def _assert_orientability_rule_matches_oracle(mu: Partition) -> None:
+    assert orientable_k1(invariants(mu).g, mu.runs) == bundle_orientable_k1(mu), mu.runs
+
+
+def test_orientability_rule_matches_oracle_up_to_30():
+    """The catalog's per-run rule, fed the class's part-gcd, agrees with the
+    Z/2 independence oracle on every partition of n <= 30."""
+    for n in range(1, 31):
+        for mu in enumerate_partitions(n):
+            _assert_orientability_rule_matches_oracle(mu)
+
+
+@given(st.dictionaries(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=200),
+                       min_size=1, max_size=8), st.integers(min_value=1, max_value=12))
+def test_orientability_rule_matches_oracle_on_long_runs(runs, scale):
+    """The same on run-length partitions with long runs, their parts scaled
+    by a common factor so that the part-gcd is often above 1."""
+    _assert_orientability_rule_matches_oracle(Partition(
+        sum(scale * part * mult for part, mult in runs.items()),
+        tuple(sorted((scale * part, mult) for part, mult in runs.items()))))
 
 
 def test_su6_table():

@@ -12,7 +12,7 @@ from extquot import reference, topology
 from extquot.complex_quotient import (ComplexComponent, component_count_from_gcd, decompose, strata,
                                      variety_normal_form)
 from extquot.numtheory import divisor_sigma, divisors
-from extquot.partitions import classified_partitions, enumerate_partitions, invariants, partitions_pairs
+from extquot.partitions import Partition, classified_partitions, enumerate_partitions, invariants, partitions_pairs
 from extquot.real_quotient import RealComponent
 from extquot.topology import (
     betti,
@@ -112,7 +112,7 @@ def _labelled(n):
     """Every partition of n in enumeration order, with the index of its class
     among the classes in the order they first occur."""
     labels = {}
-    return [(mu, labels.setdefault(key, len(labels))) for mu, key in classified_partitions(n)]
+    return [(Partition(n, runs), labels.setdefault(key, len(labels))) for runs, key in classified_partitions(n)]
 
 
 def test_duality_report_12_2():
