@@ -6,7 +6,9 @@ domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
 check that would walk more than MAX_CATALOG_ROWS partitions, or a reference
 fixture that is missing, empty or lacks a required column.  Output is
 deterministic across runs, and the exit status never depends on the reader:
-one that closes the pipe early only ends the printing.
+one that closes the pipe early only ends the printing.  Importing this module
+ends with gc.freeze(): what the imports built lives until exit, so no garbage
+collection walks it again, not even the ones at exit.
 
 ``decompose`` writes each catalog row as soon as it is produced.  The
 enumerator yields each partition's (part, multiplicity) runs, keyed by the
@@ -19,6 +21,7 @@ runs, so memory grows with the classes and the distinct runs, not with rows.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -239,9 +242,8 @@ def _catalog_rows(component_type: type, n: int, k: int,
                 names = [name for name, _ in named[0]]
                 if fmt != "json":
                     yield from grid_lines([[_LABELS[name][0] for name in names] if fmt == "markdown" else names], fmt)
-                flagged = component_type.run_flags(layers[0], runs)
                 listed = [name for name in names if name in component_type.run_items(layers[0].d, *runs[0])]
-                flags = [name for name in names if name in flagged]
+                flags = component_type.flag_names if component_type.run_flags(layers[0], runs) else ()
                 # A listed field's cell is prefix + its entries joined by separator + suffix.
                 layouts = {name: cell(name, (_GAP, _GAP)).split(_GAP) for name in listed}
                 separators = [separator for _, separator, _ in layouts.values()]
@@ -249,19 +251,19 @@ def _catalog_rows(component_type: type, n: int, k: int,
                         for name, (prefix, _, suffix) in layouts.items()}
                 gaps.update((name, "%s") for name in flags)
                 fragments = _Rendered(lambda d: _run_fragments(component_type, d, cell, layouts))
-                flag_cells = _Rendered(lambda item: cell(*item))
+                flag_cells = [(cell(name, False), cell(name, True)) for name in flags]  # indexed by value
             rows = classes[key] = [
                 (_row_text([gaps[name] if name in gaps else _escaped(cell(name, value)) for name, value in row], fmt),
                  s, fragments[s.d])
                 for s, row in zip(layers, named)]
             # The flags of the class's first partition are among its fields.
-            flag_values = [dict(row) for row in named] if flags else repeat(None)
+            flag_values = [[value for name, value in row if name in flags] for row in named] if flags else repeat(())
         elif flags:
             flag_values = [component_type.run_flags(s, runs) for _, s, _ in rows]
         for (template, _, texts), values in zip(rows, flag_values):
             # The gaps stand in row order, and every format puts flags after listed fields.
             yield template % (*map(str.join, separators, zip(*[texts[run] for run in runs])),
-                              *[flag_cells[name, values[name]] for name in flags])
+                              *map(tuple.__getitem__, flag_cells, values))
 
 
 def _escaped(text: str) -> str:
@@ -522,6 +524,9 @@ def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form
     with _stdout() as out:
         click.echo(text, file=out)
 
+
+# Everything imported by now lives until the process exits.
+gc.freeze()
 
 if __name__ == "__main__":
     main()

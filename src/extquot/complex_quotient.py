@@ -174,6 +174,9 @@ class Component:
     """What a component carries in either form: its stratum's label, base
     torus dimension, cyclic singularity and number of discrete points."""
 
+    # The fields whose values run_flags gives, in row order.
+    flag_names: ClassVar[tuple[str, ...]] = ()
+
     partition: Partition
     omega: OmegaLabel
     torus_dim: int
@@ -197,7 +200,7 @@ class Component:
         for part, mult in mu.runs:
             for name, items in cls.run_items(s.d, part, mult).items():
                 fields[name] = fields.get(name, ()) + items
-        return {**fields, "partition": mu, **cls.run_flags(s, mu.runs)}
+        return {**fields, "partition": mu, **dict(zip(cls.flag_names, cls.run_flags(s, mu.runs)))}
 
     @classmethod
     def run_items(cls, d: int, part: int, mult: int) -> dict[str, tuple[int, ...]]:
@@ -207,10 +210,10 @@ class Component:
         return {"partition": (part,) * mult}
 
     @classmethod
-    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> dict:
-        """The fields of the component of the stratum ``s`` of the partition
-        with (part, multiplicity) runs ``runs`` that read all of them together."""
-        return {}
+    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> tuple[bool, ...]:
+        """The values of the fields ``flag_names``, which read all the runs ``runs``
+        together, of the component of the stratum ``s``; none if it has none."""
+        return ()
 
     def to_dict(self) -> dict:
         return {

@@ -35,6 +35,7 @@ class RealComponent(Component):
     """
 
     form: ClassVar[str] = "real"
+    flag_names: ClassVar[tuple[str, ...]] = ("bundle_orientable",)
 
     fiber_simplex_dims: tuple[int, ...]
     join_counts: tuple[int, ...]
@@ -48,10 +49,10 @@ class RealComponent(Component):
                 "join_counts": (mult // d,)}
 
     @classmethod
-    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> dict:
-        """The bundle orientability, which pairs each part with its
+    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> tuple[bool, ...]:
+        """At k = 1, the bundle orientability, which pairs each part with its
         multiplicity."""
-        return {"bundle_orientable": orientable_k1(s.invariants.g, runs) if s.k == 1 else None}
+        return (orientable_k1(s.invariants.g, runs),) if s.k == 1 else ()
 
     @property
     def cyclic_order(self) -> int:

@@ -34,15 +34,6 @@ from .partitions import Partition
 from .real_quotient import RealComponent, bundle_orientable_k1
 from .topology import betti, betti_grid, betti_table, euler_characteristic, ktheory_grid, ktheory_table, top_betti
 
-TABLE_IDS = (
-    "betti_k1",
-    "betti_k2",
-    "ktheory",
-    "sl6_catalogs",
-    "sl16_examples",
-    "su6_orientability",
-)
-
 CATALOG_COLUMNS = ("partition", "omega_exponent", "omega_order", "x_card",
                    "torus_dim", "ambient_dim", "group_order", "weights")
 SU6_COLUMNS = ("partition", "jg_vector", "m_minus_one_vector", "x_card", "orientable")
@@ -55,6 +46,7 @@ REQUIRED_COLUMNS = {
     "sl16_examples": ("n", "k", *CATALOG_COLUMNS),
     "su6_orientability": SU6_COLUMNS,
 }
+TABLE_IDS = tuple(REQUIRED_COLUMNS)  # in the order verify checks them
 # The keys a fixture with rows must hold, each once: the n rows of the Betti
 # tables, the (n, k) cells of the K-theory grid and the (n, k) row groups of
 # the catalogs.  A fixture without rows fails as a table that compares nothing.

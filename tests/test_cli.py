@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import shutil
@@ -171,6 +172,31 @@ def test_version_from_a_source_checkout():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b""
     assert proc.stdout.decode().split()[-1] == extquot.__version__ == "0.1.0"
+
+
+def test_import_freezes_the_heap_it_built():
+    """Importing ``extquot.cli`` in a fresh interpreter ends with the objects
+    it made frozen, so garbage collection, also at exit, leaves them alone:
+    far more are frozen than are left for a collection to walk."""
+    env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "import gc, extquot.cli; print(gc.get_freeze_count(), "
+                           "len(gc.get_objects()))"], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    frozen, unfrozen = map(int, proc.stdout.split())
+    assert frozen > unfrozen
+
+
+def test_commands_do_not_freeze_again(runner):
+    """The heap is frozen once, when ``extquot.cli`` is imported, never per
+    command: commands run in process, as here, leave the frozen count as it
+    was.  Freezing per command would add all that the test process has built
+    since.  A first command frees a few frozen objects, so the count is taken
+    after one."""
+    assert runner.invoke(main, ["betti", "--n", "6"]).exit_code == 0
+    frozen = gc.get_freeze_count()
+    for _ in range(2):
+        assert runner.invoke(main, ["betti", "--n", "6"]).exit_code == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_verify_fast_tables(runner):
