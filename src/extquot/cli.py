@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, which parses and prints; ``decompose`` streams its
+catalog through :mod:`extquot.catalog`.
 
 Commands: decompose, betti, ktheory, euler, table, duality, verify,
 component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
@@ -9,14 +10,6 @@ deterministic across runs, and the exit status never depends on the reader:
 one that closes the pipe early only ends the printing.  Importing this module
 ends with gc.freeze(): what the imports built lives until exit, so no garbage
 collection walks it again, not even the ones at exit.
-
-``decompose`` writes each catalog row as soon as it is produced.  The
-enumerator yields each partition's (part, multiplicity) runs, keyed by the
-gcd of its parts and its sorted multiplicities, which fix (g, m, b, c, p);
-each class builds one Partition, its invariants and strata, and renders each
-of its rows once as a text template with a gap for each run-order cell.  The
-gaps of every partition of the class are filled from the rendered text of its
-runs, so memory grows with the classes and the distinct runs, not with rows.
 """
 
 from __future__ import annotations
@@ -27,18 +20,16 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from itertools import repeat
-from typing import Callable, Hashable, Iterable, Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import click
 
-from . import __version__, reference, topology
-from .complex_quotient import ComplexComponent, Stratum, catalog_rows, partition_components, strata
-from .partitions import Partition, classified_partitions, invariants, partition_count
-from .real_quotient import RealComponent
-from .topology import betti, duality_reports, euler_characteristic, grid_line, grid_lines, ktheory_ranks
+from . import __version__, catalog, reference, topology
+from .catalog import FORMS, _LABELS, _markdown_cell, _markdown_fields
+from .complex_quotient import catalog_rows, partition_components
+from .partitions import Partition, partition_count
+from .topology import betti, duality_reports, euler_characteristic, grid_lines, ktheory_ranks
 
-FORMS = {"complex": ComplexComponent, "real": RealComponent}
 # A full catalog is streamed, so this bounds the size of its output: about
 # 470 bytes per JSON row, so 470 MB of stdout at the limit.  It also bounds
 # the partitions of n a duality check walks, although its reports hold only
@@ -92,221 +83,6 @@ def parse_partition(text: str) -> Partition:
     return Partition(sum(j * m for j, m in runs.items()), tuple(sorted(runs.items())))
 
 
-def _omega_str(entry, k: int) -> str:
-    exponent = entry.omega.zeta_exponent(k)
-    return "1" if exponent == 0 else f"z^{exponent}"
-
-
-def _variety_str(entry) -> str:
-    pieces = []
-    if entry.torus_dim > 0:
-        pieces.append(f"C*^{entry.torus_dim}")
-    s = entry.singularity
-    if s.ambient_dim > 0:
-        piece = f"A^{s.ambient_dim}"
-        if s.group_order > 1:
-            piece += f"/C_{s.group_order}({','.join(str(w) for w in s.weights)})"
-        pieces.append(piece)
-    return " x ".join(pieces) if pieces else "A^0"
-
-
-def _flag(value: bool) -> str:
-    return "yes" if value else "no"
-
-
-# By the component field each shows: its markdown column header, and its
-# label in ``component --format text``, which leaves out a field without one.
-_LABELS = {
-    "partition": ("mu", "mu"),
-    "omega": ("omega", "omega"),
-    "multiplicity": ("X", "|X|"),
-    "variety": ("variety", "variety"),
-    "torus_dim": ("base", "base"),
-    "fiber_simplex_dims": ("fiber dims", "fiber"),
-    "cyclic_order": ("C_d", "C_d"),
-    "join_counts": ("joins", None),
-    "action_orientation_preserving": ("fiber action preserves orientation", "orientation_preserving"),
-    "bundle_orientable": ("bundle orientable", None),
-}
-
-
-def _json_cell(key: str, value, indent: str = "      ") -> str:
-    """A field as it stands ``indent`` deep, three levels in the entries of
-    ``json.dumps(catalog, indent=2)``: its key, then its own dump.  A flag, an
-    integer, a nonempty list or tuple of integers, or a nonempty dict of these
-    is laid out without ``json.dumps``."""
-    head, inner = f'{indent}"{key}": ', indent + "  "
-    if type(value) is bool:
-        return head + ("true" if value else "false")
-    if type(value) is int:
-        return head + str(value)
-    if isinstance(value, (list, tuple)) and value:
-        return f"{head}[\n{inner}" + f",\n{inner}".join(map(str, value)) + f"\n{indent}]"
-    if isinstance(value, dict) and value:
-        return f"{head}{{\n" + ",\n".join(_json_cell(*item, inner) for item in value.items()) + f"\n{indent}}}"
-    return head + json.dumps(value, indent=2).replace("\n", "\n" + indent)
-
-
-def _csv_fields(entry, k: int) -> list[tuple[str, object]]:
-    """The items of ``entry.to_dict()``, the singularity's in its place."""
-    fields = []
-    for key, value in entry.to_dict().items():
-        fields.extend(value.items() if key == "singularity" else [(key, value)])
-    return fields
-
-
-def _csv_cell(key: str, value) -> str:
-    """A partition's parts joined by "+", another list's entries by spaces,
-    and a flag as yes or no."""
-    if isinstance(value, (list, tuple)):
-        return ("+" if key == "partition" else " ").join(map(str, value))
-    return _flag(value) if isinstance(value, bool) else str(value)
-
-
-def _markdown_fields(entry, k: int) -> list[tuple[str, object]]:
-    """The markdown columns of ``entry``, headed as in _LABELS."""
-    fields = [("partition", entry.partition.parts), ("omega", _omega_str(entry, k)),
-              ("multiplicity", entry.multiplicity)]
-    if entry.form == "complex":
-        fields.append(("variety", _variety_str(entry)))
-    else:
-        fields += [
-            ("torus_dim", f"T^{entry.torus_dim}"),
-            ("fiber_simplex_dims", entry.fiber_simplex_dims),
-            ("cyclic_order", entry.cyclic_order),
-            ("join_counts", entry.join_counts),
-            ("action_orientation_preserving", entry.action_orientation_preserving),
-        ]
-        if k == 1:
-            fields.append(("bundle_orientable", entry.bundle_orientable))
-    return fields
-
-
-def _markdown_cell(key: str, value) -> str:
-    """A partition's parts joined by "+", another tuple's entries by commas,
-    and a flag as yes or no."""
-    if isinstance(value, tuple):
-        return ("+" if key == "partition" else ",").join(map(str, value))
-    return _flag(value) if isinstance(value, bool) else str(value)
-
-
-# Per format: the named fields of an entry, and the cell of one field.
-_FORMATS = {
-    "json": (lambda entry, k: list(entry.to_dict().items()), _json_cell),
-    "csv": (_csv_fields, _csv_cell),
-    "markdown": (_markdown_fields, _markdown_cell),
-}
-# Stands for a gap in a row's text; no cell contains it.
-_GAP = "\ue000"
-
-
-class _Rendered(dict):
-    """Texts by key, each rendered by ``render(key)`` when first asked for."""
-
-    def __init__(self, render: Callable[[Hashable], object]) -> None:
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key: Hashable) -> object:
-        text = self[key] = self.render(key)
-        return text
-
-
-def _catalog_rows(component_type: type, n: int, k: int,
-                  classified: Iterable[tuple[tuple[tuple[int, int], ...], Hashable]], fmt: str) -> Iterator[str]:
-    """The text of every row of the catalog of the partitions of n in
-    ``classified``, in omega order within each partition, each given by its
-    runs and a key it shares exactly with its class; a CSV or markdown
-    catalog starts with its header line.
-
-    Only a row's run-order fields (``component_type.run_fields``) depend on
-    more than its partition's invariant class and omega.  So only the first
-    partition of each class is built as a Partition: it computes the class's
-    invariants and strata once, and renders each of its rows once as a
-    template, the row's text with a %s gap for each run-order cell.  Every
-    partition of the class fills the gaps from its runs alone.  The gap of a
-    field ``run_items`` lists is joined from the fragments of the runs, each
-    rendered once per fibre order d; the gap of a ``run_flags`` field is its
-    cell, rendered once per value.  Templates and fragments live for one
-    call: they grow with the classes and the distinct runs, not with rows.
-    """
-    fields, cell = _FORMATS[fmt]
-    classes: dict[Hashable, list[tuple[str, Stratum, dict[tuple[int, int], tuple[str, ...]]]]] = {}
-    for runs, key in classified:
-        rows = classes.get(key)
-        if rows is None:
-            mu = Partition(n, runs)
-            layers = strata(invariants(mu), n, k)
-            named = [fields(component_type.from_stratum(s, mu), k) for s in layers]
-            if not classes:
-                names = [name for name, _ in named[0]]
-                if fmt != "json":
-                    yield from grid_lines([[_LABELS[name][0] for name in names] if fmt == "markdown" else names], fmt)
-                listed = [name for name in names if name in component_type.run_items(layers[0].d, *runs[0])]
-                flags = component_type.flag_names if component_type.run_flags(layers[0], runs) else ()
-                # A listed field's cell is prefix + its entries joined by separator + suffix.
-                layouts = {name: cell(name, (_GAP, _GAP)).split(_GAP) for name in listed}
-                separators = [separator for _, separator, _ in layouts.values()]
-                gaps = {name: f"{_escaped(prefix)}%s{_escaped(suffix)}"
-                        for name, (prefix, _, suffix) in layouts.items()}
-                gaps.update((name, "%s") for name in flags)
-                fragments = _Rendered(lambda d: _run_fragments(component_type, d, cell, layouts))
-                flag_cells = [(cell(name, False), cell(name, True)) for name in flags]  # indexed by value
-            rows = classes[key] = [
-                (_row_text([gaps[name] if name in gaps else _escaped(cell(name, value)) for name, value in row], fmt),
-                 s, fragments[s.d])
-                for s, row in zip(layers, named)]
-            # The flags of the class's first partition are among its fields.
-            flag_values = [[value for name, value in row if name in flags] for row in named] if flags else repeat(())
-        elif flags:
-            flag_values = [component_type.run_flags(s, runs) for _, s, _ in rows]
-        for (template, _, texts), values in zip(rows, flag_values):
-            # The gaps stand in row order, and every format puts flags after listed fields.
-            yield template % (*map(str.join, separators, zip(*[texts[run] for run in runs])),
-                              *map(tuple.__getitem__, flag_cells, values))
-
-
-def _escaped(text: str) -> str:
-    """``text`` as it stands in a %-template."""
-    return text.replace("%", "%%")
-
-
-def _run_fragments(component_type: type, d: int, cell: Callable[[str, object], str],
-                   layouts: dict[str, list[str]]) -> _Rendered:
-    """By run (part, mult): the text of its entries within the cell of each
-    field ``layouts`` names, in a stratum of fibre order d, which is the cell
-    without the prefix and suffix of the field's layout."""
-    def render(run: tuple[int, int]) -> tuple[str, ...]:
-        items = component_type.run_items(d, *run)
-        texts = [(cell(name, items[name]), prefix, suffix) for name, (prefix, _, suffix) in layouts.items()]
-        return tuple(text[len(prefix):len(text) - len(suffix)] for text, prefix, suffix in texts)
-    return _Rendered(render)
-
-
-def _row_text(texts: list[str], fmt: str) -> str:
-    """The text of a row with cells ``texts``: a JSON entry, or a line of the
-    CSV or markdown grid."""
-    return "    {\n" + ",\n".join(texts) + "\n    }" if fmt == "json" else grid_line(texts, fmt)
-
-
-def _write_catalog(out: TextIO, form: str, n: int, k: int,
-                   classified: Iterable[tuple[tuple[tuple[int, int], ...], Hashable]], fmt: str) -> None:
-    """Write the catalog of ``classified``, (runs, class key) pairs, to
-    ``out`` row by row: JSON as ``json.dumps(..., indent=2)`` lays out n, k,
-    form and the entries' ``to_dict``, CSV with a column per ``to_dict`` field
-    and the singularity's fields in its place, or markdown headed as in _LABELS."""
-    rows = _catalog_rows(FORMS[form], n, k, classified, fmt)
-    if fmt != "json":
-        out.writelines(rows)
-        return
-    out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
-    separator = ""
-    for row in rows:
-        out.write(separator + row)
-        separator = ",\n"
-    out.write("\n  ]\n}\n")
-
-
 @contextmanager
 def _stdout() -> Iterator[TextIO]:
     """Standard output, for a command to print to.  A reader that closes the
@@ -347,46 +123,33 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
                        f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
             ctx.exit(2)
     with _stdout() as out:
-        _write_catalog(out, form, n, k, [(partition.runs, None)] if partition else classified_partitions(n), fmt)
+        catalog.write(out, form, n, k, fmt, partition)
 
 
-@main.command(name="betti")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def betti_cmd(n: int, k: int, fmt: str) -> None:
-    """Print the Betti vector b_0 .. b_D for (n, k)."""
-    _check_arguments(n, k)
-    ranks = betti(n, k).ranks
-    text = json.dumps({"n": n, "k": k, "betti": list(ranks)}) if fmt == "json" else " ".join(map(str, ranks))
-    with _stdout() as out:
-        click.echo(text, file=out)
+_SUMMARIES = (
+    ("betti", "Print the Betti vector b_0 .. b_D for (n, k).", lambda n, k: {"betti": list(betti(n, k).ranks)}),
+    ("ktheory", "Print the K0 and K1 ranks for (n, k).", lambda n, k: vars(ktheory_ranks(n, k))),
+    ("euler", "Print the Euler characteristic for (n, k).", lambda n, k: {"euler": euler_characteristic(n, k)}),
+)
 
 
-@main.command(name="ktheory")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def ktheory_cmd(n: int, k: int, fmt: str) -> None:
-    """Print the K0 and K1 ranks for (n, k)."""
-    _check_arguments(n, k)
-    ranks = ktheory_ranks(n, k)
-    text = json.dumps({"n": n, "k": k, "k0": ranks.k0, "k1": ranks.k1}) if fmt == "json" else f"{ranks.k0} {ranks.k1}"
-    with _stdout() as out:
-        click.echo(text, file=out)
+def _summary_command(name: str, doc: str, values: Callable[[int, int], dict]) -> None:
+    """Register ``name``, a command that prints the named ``values(n, k)`` in one line."""
+    @main.command(name=name, help=doc)
+    @click.option("--n", type=int, required=True)
+    @click.option("--k", type=int, default=1, show_default=True)
+    @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
+    def command(n: int, k: int, fmt: str) -> None:
+        _check_arguments(n, k)
+        named = values(n, k)
+        text = (json.dumps({"n": n, "k": k, **named}) if fmt == "json" else
+                " ".join(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in named.values()))
+        with _stdout() as out:
+            click.echo(text, file=out)
 
 
-@main.command(name="euler")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-def euler_cmd(n: int, k: int, fmt: str) -> None:
-    """Print the Euler characteristic for (n, k)."""
-    _check_arguments(n, k)
-    chi = euler_characteristic(n, k)
-    text = json.dumps({"n": n, "k": k, "euler": chi}) if fmt == "json" else str(chi)
-    with _stdout() as out:
-        click.echo(text, file=out)
+for _summary in _SUMMARIES:
+    _summary_command(*_summary)
 
 
 @main.command(name="table")

@@ -138,7 +138,10 @@ def partition_components(component_type: type, mu: Partition, n: int, k: int) ->
 def decompose(component_type: type, n: int, k: int) -> list:
     """The full catalog for (n, k): its components, partitions in enumeration
     order, then omega exponents.  The total component count is the sum of
-    their multiplicities."""
+    their multiplicities.
+
+    It stays per partition, with no walk by invariant class: it is the
+    independent oracle the streamed catalog writer is checked against."""
     _require_divides(k, n)
     return [entry for mu in enumerate_partitions(n)
             for entry in partition_components(component_type, mu, n, k)]

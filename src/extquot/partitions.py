@@ -16,7 +16,7 @@ only (g, b) count the partitions per class without walking them.
 
 The enumerator steps on runs and yields bare runs, keyed by the gcd of the
 parts and the sorted multiplicities, a key in bijection with (g, m, b, c, p):
-catalogs and duality reports build Partitions and invariants per class.
+catalogs and duality reports walk them by class with :func:`by_class`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .numtheory import divisors
 
@@ -148,6 +148,18 @@ def classified_partitions(n: int) -> Iterator[tuple[tuple[tuple[int, int], ...],
         if r:
             parts.append(r)
             mults.append(1)
+
+
+def by_class(n: int, first: Callable[[Partition], object]) -> Iterator[tuple[tuple[tuple[int, int], ...], object]]:
+    """Yield the runs of every partition of n >= 1 in enumerate_partitions
+    order, each with ``first(mu)`` of the first partition mu of its invariant
+    class, the only one built as a Partition: one call per class, made just
+    before mu's runs are yielded."""
+    values: dict[tuple[int, ...], object] = {}
+    for runs, key in classified_partitions(n):
+        if key not in values:
+            values[key] = first(Partition(n, runs))
+        yield runs, values[key]
 
 
 _PCOUNT = [1]  # P(0)

@@ -34,7 +34,7 @@ from .complex_quotient import (
     _require_divides,
 )
 from .numtheory import divisors
-from .partitions import Partition, classified_partitions, gcd_distinct_counts, invariants, partitions_pairs
+from .partitions import Partition, by_class, gcd_distinct_counts, invariants, partitions_pairs
 
 
 @dataclass(frozen=True)
@@ -178,11 +178,11 @@ def duality_reports(n: int) -> list[DualityReport]:
     the level of the underlying varieties (quasi-reflections discarded), and
     partitions are flagged when the varieties genuinely differ.
 
-    One pass over the runs of the partitions of n.  The first of each class
-    is built as a Partition for its invariants, each side (n, k) profiled
-    once and the class compared for every k; any other partition is built
-    only to join the flagged lists of the k whose varieties differ.  Each
-    distinct singularity is normalized once; only the reports outlive the call.
+    One walk over the runs of the partitions of n (:func:`by_class`): each
+    class is compared for every k on its first partition, each side (n, k)
+    profiled once.  Any other partition is built only to join the flagged
+    lists of the k whose varieties differ.  Each distinct singularity is
+    normalized once; only the reports outlive the call.
     """
     if n < 1:
         raise ValueError("duality_reports needs a positive integer")
@@ -190,18 +190,19 @@ def duality_reports(n: int) -> list[DualityReport]:
     forms: dict = {}
     classes: dict[int, list[ClassDuality]] = {k: [] for k in ks}
     flagged: dict[int, list[Partition]] = {k: [] for k in ks}
-    differing: dict[tuple, tuple[int, ...]] = {}  # class key -> the k whose varieties differ
-    for runs, key in classified_partitions(n):
-        if key not in differing:
-            inv = invariants(Partition(n, runs))
-            profiles = {k: _profile(strata(inv, n, k), forms) for k in ks}
-            for k in ks:
-                (count, *multisets), (count_dual, *multisets_dual) = profiles[k], profiles[n // k]
-                classes[k].append(ClassDuality(count, count_dual, *map(operator.eq, multisets, multisets_dual)))
-            differing[key] = tuple(k for k in ks if not classes[k][-1].variety_singularities_equal)
-        if differing[key]:
+
+    def compare(mu: Partition) -> tuple[int, ...]:  # the k whose varieties differ in the class of mu
+        inv = invariants(mu)
+        profiles = {k: _profile(strata(inv, n, k), forms) for k in ks}
+        for k in ks:
+            (count, *multisets), (count_dual, *multisets_dual) = profiles[k], profiles[n // k]
+            classes[k].append(ClassDuality(count, count_dual, *map(operator.eq, multisets, multisets_dual)))
+        return tuple(k for k in ks if not classes[k][-1].variety_singularities_equal)
+
+    for runs, differing in by_class(n, compare):
+        if differing:
             mu = Partition(n, runs)  # one, shared by the reports that flag it
-        for k in differing[key]:
+        for k in differing:
             flagged[k].append(mu)
     ranks = {k: betti(n, k).ranks for k in ks}
     return [DualityReport(n=n, k=k, k_dual=n // k, betti_ranks=ranks[k], betti_ranks_dual=ranks[n // k],

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import Iterator
 
-from extquot.cli import _flag, _omega_str, _variety_str
+from extquot.catalog import _flag, _omega_str, _variety_str
 from extquot.complex_quotient import (
     ComplexComponent,
     CyclicSingularity,

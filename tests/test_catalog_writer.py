@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import extquot
 from conftest import _catalog_csv_rows, _catalog_grid, catalog_json_dict, grid_text
-from extquot import cli, real_quotient
+from extquot import catalog, real_quotient
 from extquot.cli import FORMS, main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose, partition_components, strata
 from extquot.numtheory import divisors
@@ -143,7 +143,23 @@ def test_json_cell_matches_json_dumps(key, value):
     head, tail = '{\n  "entries": [\n    {\n', "\n    }\n  ]\n}"
     dumped = json.dumps({"entries": [{key: value}]}, indent=2)
     assert dumped.startswith(head) and dumped.endswith(tail)
-    assert cli._json_cell(key, value) == dumped[len(head):-len(tail)]
+    assert catalog._json_cell(key, value) == dumped[len(head):-len(tail)]
+
+
+def test_json_catalog_calls_no_json_dumps(monkeypatch):
+    """Every cell of the (20, 4) JSON catalog, the empty weights of a
+    singularity of dimension 0 included, is laid out without json.dumps."""
+    calls = []
+
+    def counted(*args, dumps=json.dumps, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    result = CliRunner().invoke(main, ["decompose", "--n", "20", "--k", "4", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert '"weights": []' in result.stdout
+    assert calls == []
 
 
 def test_catalog_builds_strata_once_per_class(monkeypatch):
@@ -156,7 +172,7 @@ def test_catalog_builds_strata_once_per_class(monkeypatch):
         calls.append(inv)
         return strata(inv, n, k)
 
-    monkeypatch.setattr(cli, "strata", counted)
+    monkeypatch.setattr(catalog, "strata", counted)
     runner = CliRunner()
     for form in FORMS:
         for fmt in FORMATS:
@@ -180,7 +196,7 @@ def test_catalog_classifies_once_per_class(monkeypatch):
         built.append(mu)
         check(mu)
 
-    monkeypatch.setattr(cli, "invariants", counted)
+    monkeypatch.setattr(catalog, "invariants", counted)
     monkeypatch.setattr(Partition, "__post_init__", validated)
     runner = CliRunner()
     for form in FORMS:
@@ -232,11 +248,11 @@ def test_catalog_renders_run_order_cells_per_run(monkeypatch, form, k):
     bound = len(fragments) + 1
     assert bound < rows
     calls = Counter()
-    for fmt, (fields, cell) in cli._FORMATS.items():
+    for fmt, (fields, cell) in catalog._FORMATS.items():
         def counted(name, value, cell=cell):
             calls[name] += 1
             return cell(name, value)
-        monkeypatch.setitem(cli._FORMATS, fmt, (fields, counted))
+        monkeypatch.setitem(catalog._FORMATS, fmt, (fields, counted))
     runner = CliRunner()
     for fmt in FORMATS:
         calls.clear()

@@ -379,7 +379,7 @@ def test_verify_row_of_the_wrong_width_is_a_data_error(runner, tmp_path, extra):
     assert f"line 7: {columns + extra} cells, but the header has {columns}" in result.stderr
 
 
-ENUMERATORS = ("enumerate_partitions", "classified_partitions")
+ENUMERATORS = ("enumerate_partitions", "classified_partitions", "by_class")
 
 
 @pytest.fixture()

@@ -7,7 +7,9 @@ invariant class; n = 36 has the self-dual divisor k = 6.  ``verify all``
 was captured before the verifier counted its cells through one check, and
 pins every table's cell count.  The two ``component`` lines for n = 6,
 k = 1 were captured before the text line was built from the markdown
-fields, which at k = 1 include one the line leaves out.  They are
+fields, which at k = 1 include one the line leaves out.  The ``betti``,
+``ktheory`` and ``euler`` lines and help texts were captured while each
+command had its own body.  They are
 regression snapshots, not reference data: the transcribed ground truth lives
 in ``src/extquot/data``.  Replace a snapshot only with a change that means to
 alter that output.
@@ -54,6 +56,11 @@ def _golden_commands() -> dict[str, list[str]]:
     commands["duality_n30.json"] = ["duality", "--n", "30", "--format", "json"]
     commands["duality_n36.txt"] = ["duality", "--n", "36"]
     commands["verify_all.json"] = ["verify", "all", "--format", "json"]
+    for command in ("betti", "ktheory", "euler"):
+        for n, k in ((6, 1), (8, 2), (12, 4)):
+            for fmt, ext in (("text", "txt"), ("json", "json")):
+                commands[f"{command}_n{n}_k{k}.{ext}"] = [command, "--n", str(n), "--k", str(k), "--format", fmt]
+        commands[f"{command}_help.txt"] = [command, "--help"]
     return commands
 
 

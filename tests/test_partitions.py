@@ -8,6 +8,7 @@ from conftest import (descending_partitions, enumerated_class_counts, iter_gcd_d
                       two_kind_series_coefficients)
 from extquot.partitions import (
     Partition,
+    by_class,
     classified_partitions,
     distinct_part_counts,
     enumerate_partitions,
@@ -75,6 +76,32 @@ def test_classified_partitions_rejects_n_below_1():
     for n in (0, -1):
         with pytest.raises(ValueError):
             list(classified_partitions(n))
+        with pytest.raises(ValueError):
+            list(by_class(n, invariants))
+
+
+def test_by_class_calls_first_once_per_class():
+    """The walk yields the runs of every partition in enumeration order and
+    calls ``first`` once per invariant class, on the class's first partition
+    just before yielding it; every partition gets the value of a partition
+    with its invariants."""
+    for n in range(1, 31):
+        walked, called = [], []  # called: (how many were yielded before, the partition given)
+
+        def first(mu):
+            called.append((len(walked), mu))
+            return mu
+
+        for item in by_class(n, first):
+            walked.append(item)
+        partitions = list(enumerate_partitions(n))
+        assert [runs for runs, _ in walked] == [mu.runs for mu in partitions], n
+        firsts = {}
+        for mu in partitions:
+            firsts.setdefault(invariants(mu), mu)
+        assert [mu for _, mu in called] == list(firsts.values()), n
+        assert all(walked[at] == (mu.runs, mu) for at, mu in called), n
+        assert all(invariants(value) == invariants(Partition(n, runs)) for runs, value in walked), n
 
 
 def test_enumeration_count_n45():

@@ -202,6 +202,36 @@ def test_duality_report_builds_no_component(monkeypatch):
     assert all(report.ok for report in duality_reports(24))
 
 
+def test_duality_reports_work_once_per_class(monkeypatch):
+    """The 627 partitions of 20 fall in 177 invariant classes: the reports of
+    20 take the invariants of each class once and its strata once per
+    divisor of 20, and build a Partition for each class and for each of the
+    44 distinct partitions some report flags."""
+    classified, layered, built = [], [], []
+
+    def counted_invariants(mu):
+        classified.append(mu)
+        return invariants(mu)
+
+    def counted_strata(inv, n, k):
+        layered.append((inv, k))
+        return strata(inv, n, k)
+
+    def validated(mu, check=Partition.__post_init__):
+        built.append(mu)
+        check(mu)
+
+    monkeypatch.setattr(topology, "invariants", counted_invariants)
+    monkeypatch.setattr(topology, "strata", counted_strata)
+    monkeypatch.setattr(Partition, "__post_init__", validated)
+    reports = duality_reports(20)
+    flagged = {mu for report in reports for mu in report.singularity_differences}
+    assert len(classified) == len({invariants(mu) for mu in classified}) == 177
+    assert len(layered) == len(set(layered)) == 177 * len(divisors(20)) == 1_062
+    assert len(flagged) == 44
+    assert len(built) == 177 + 44 == 221
+
+
 def test_duality_reports_hold_only_what_they_print():
     """The reports of 30 hold one comparison per class and the flagged
     partitions, not the 5,604 partitions of 30: their traced peak stays under
