@@ -113,7 +113,7 @@ def main() -> None:
 @click.pass_context
 def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str | None, fmt: str) -> None:
     """Print the component catalog of the (n, k) extended quotient."""
-    partition = parse_partition(partition_text) if partition_text else None
+    partition = parse_partition(partition_text) if partition_text is not None else None
     _check_arguments(n, k, partition)
     if partition is None:
         rows = _count_unless_oversized(n, lambda: catalog_rows(n, k))

@@ -11,23 +11,21 @@ Euler characteristic for k = 1 equals the divisor sum of n.
 
 Duality reports compare the (n, k) and (n, n/k) quotients for every divisor k
 of n in one pass over the partitions of n, once per invariant class
-(g, m, b, c, p), not once per partition.  A report holds one comparison per
-class and only the partitions it flags, so its size grows with the classes
-and the flagged partitions, not with P(n).
+(g, m, b, c, p) and pair {k, n/k}, not once per partition.  A report holds
+two flags and only the partitions it flags, so its size grows with the
+flagged partitions, not with the classes or P(n).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .complex_quotient import (
     Stratum,
-    canonical_singularity,
     component_count_from_gcd,
     strata,
     variety_normal_form,
@@ -105,24 +103,10 @@ def top_betti(n: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class ClassDuality:
-    """The comparison of one invariant class of partitions of n between the
-    (n, k) and (n, n/k) quotients: ``components`` and ``components_dual``
-    are the number of components of each partition of the class on each
-    side."""
-
-    components: int
-    components_dual: int
-    torus_counts_equal: bool
-    descriptor_singularities_equal: bool
-    variety_singularities_equal: bool
-
-
-@dataclass(frozen=True)
 class DualityReport:
-    """The comparison of the (n, k) and (n, n/k) quotients: one comparison
-    per invariant class of partitions of n, in the order the classes first
-    occur in enumeration order, and the partitions whose varieties differ
+    """The comparison of the (n, k) and (n, n/k) quotients: whether every
+    invariant class of partitions of n has as many components and the same
+    torus dimensions on both sides, and the partitions whose varieties differ
     between the two sides, in enumeration order."""
 
     n: int
@@ -130,7 +114,8 @@ class DualityReport:
     k_dual: int
     betti_ranks: tuple[int, ...]
     betti_ranks_dual: tuple[int, ...]
-    classes: tuple[ClassDuality, ...]
+    counts_equal: bool
+    torus_counts_equal: bool
     singularity_differences: tuple[Partition, ...]
 
     @property
@@ -138,34 +123,23 @@ class DualityReport:
         return self.betti_ranks == self.betti_ranks_dual
 
     @property
-    def counts_equal(self) -> bool:
-        return all(c.components == c.components_dual for c in self.classes)
-
-    @property
-    def torus_counts_equal(self) -> bool:
-        return all(c.torus_counts_equal for c in self.classes)
-
-    @property
     def ok(self) -> bool:
         return self.betti_equal and self.counts_equal and self.torus_counts_equal
 
 
-def _profile(layers: list[Stratum], forms: dict) -> tuple[int, Counter, Counter, Counter]:
+def _profile(layers: list[Stratum], forms: dict) -> tuple[int, Counter, Counter]:
     """One side of a class's duality comparison: its component count and the
-    multisets of torus dimensions, canonical singularities and variety
-    normal forms, each weighted by multiplicity.  ``forms`` maps (p, d) to
-    the two normal forms of A^(c-b) / C_d, which (p, c - b = sum(p), d) fix."""
-    torus_dims, descriptors, varieties = Counter(), Counter(), Counter()
+    multisets of torus dimensions and variety normal forms, each weighted by
+    multiplicity.  ``forms`` maps (p, d) to the normal form of A^(c-b) / C_d,
+    which (p, c - b = sum(p), d) fix."""
+    torus_dims, varieties = Counter(), Counter()
     for s in layers:
         key = (s.invariants.p, s.d)
         if key not in forms:
-            singularity = s.singularity
-            forms[key] = canonical_singularity(singularity), variety_normal_form(singularity)
-        descriptor, variety = forms[key]
+            forms[key] = variety_normal_form(s.singularity)
         torus_dims[s.torus_dim] += s.multiplicity
-        descriptors[descriptor] += s.multiplicity
-        varieties[variety] += s.multiplicity
-    return sum(torus_dims.values()), torus_dims, descriptors, varieties
+        varieties[forms[key]] += s.multiplicity
+    return sum(torus_dims.values()), torus_dims, varieties
 
 
 def duality_reports(n: int) -> list[DualityReport]:
@@ -174,40 +148,50 @@ def duality_reports(n: int) -> list[DualityReport]:
 
     Betti vectors, per-partition component counts and torus-dimension
     histograms always agree.  The singularity structure may differ; it is
-    compared both at the level of group data (canonical weight tuples) and at
-    the level of the underlying varieties (quasi-reflections discarded), and
-    partitions are flagged when the varieties genuinely differ.
+    compared at the level of the underlying varieties (quasi-reflections
+    discarded), and partitions are flagged when the varieties differ.
 
     One walk over the runs of the partitions of n (:func:`by_class`): each
-    class is compared for every k on its first partition, each side (n, k)
-    profiled once.  Any other partition is built only to join the flagged
-    lists of the k whose varieties differ.  Each distinct singularity is
-    normalized once; only the reports outlive the call.
+    class is compared once per pair k < n/k on its first partition, each
+    side (n, k) profiled once; a self-dual k = n/k compares a side with
+    itself, so it is neither profiled nor compared.  The reports of k and
+    n/k share the pair's verdicts.  Any other partition is built only to
+    join the flagged list of a pair whose varieties differ.  Each distinct
+    singularity is normalized once; only the reports outlive the call.
     """
     if n < 1:
         raise ValueError("duality_reports needs a positive integer")
     ks = divisors(n)
+    lows = [k for k in ks if k * k <= n]  # the smaller k of each pair {k, n/k}
+    pairs = [k for k in lows if k * k < n]
     forms: dict = {}
-    classes: dict[int, list[ClassDuality]] = {k: [] for k in ks}
-    flagged: dict[int, list[Partition]] = {k: [] for k in ks}
+    counts_equal, torus_counts_equal = dict.fromkeys(lows, True), dict.fromkeys(lows, True)
+    flagged: dict[int, list[Partition]] = {k: [] for k in lows}
 
-    def compare(mu: Partition) -> tuple[int, ...]:  # the k whose varieties differ in the class of mu
+    def compare(mu: Partition) -> tuple[int, ...]:  # the pairs whose varieties differ in the class of mu
         inv = invariants(mu)
-        profiles = {k: _profile(strata(inv, n, k), forms) for k in ks}
-        for k in ks:
-            (count, *multisets), (count_dual, *multisets_dual) = profiles[k], profiles[n // k]
-            classes[k].append(ClassDuality(count, count_dual, *map(operator.eq, multisets, multisets_dual)))
-        return tuple(k for k in ks if not classes[k][-1].variety_singularities_equal)
+        profiles = {k: _profile(strata(inv, n, k), forms) for k in ks if k * k != n}
+        differing = []
+        for k in pairs:
+            count, torus_dims, varieties = profiles[k]
+            count_dual, torus_dims_dual, varieties_dual = profiles[n // k]
+            counts_equal[k] &= count == count_dual
+            torus_counts_equal[k] &= torus_dims == torus_dims_dual
+            if varieties != varieties_dual:
+                differing.append(k)
+        return tuple(differing)
 
     for runs, differing in by_class(n, compare):
         if differing:
             mu = Partition(n, runs)  # one, shared by the reports that flag it
         for k in differing:
             flagged[k].append(mu)
+    differences = {k: tuple(mus) for k, mus in flagged.items()}
     ranks = {k: betti(n, k).ranks for k in ks}
     return [DualityReport(n=n, k=k, k_dual=n // k, betti_ranks=ranks[k], betti_ranks_dual=ranks[n // k],
-                          classes=tuple(classes[k]), singularity_differences=tuple(flagged[k]))
-            for k in ks]
+                          counts_equal=counts_equal[low], torus_counts_equal=torus_counts_equal[low],
+                          singularity_differences=differences[low])
+            for k in ks for low in [min(k, n // k)]]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from extquot.complex_quotient import (
     variety_normal_form,
 )
 from extquot.partitions import enumerate_partitions
-from extquot.topology import BettiVector, ClassDuality, DualityReport, betti, grid_lines
+from extquot.topology import BettiVector, DualityReport, betti, grid_lines
 
 
 def plain_cofactor_det(rows) -> int:
@@ -140,7 +140,7 @@ def enumerated_class_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     return tuple(sorted(Counter(iter_gcd_distinct(n)).items()))
 
 
-def _profile(components: list) -> tuple[int, Counter, Counter, Counter]:
+def components_profile(components: list) -> tuple[int, Counter, Counter, Counter]:
     """One side of a partition's duality comparison: its component count and
     the multisets of torus dimensions, canonical singularities and variety
     normal forms, each weighted by multiplicity."""
@@ -179,33 +179,26 @@ def variety_normal_form_oracle(s: CyclicSingularity) -> CyclicSingularity:
 
 def duality_report_oracle(n: int, k: int) -> DualityReport:
     """The duality report built partition by partition: both sides of every
-    partition of n are decomposed and compared on their own, and each
-    partition is its own class."""
+    partition of n are decomposed and compared on their own."""
     _require_divides(k, n)
     k_dual = n // k
-    flagged, classes = [], []
+    flagged, counts_equal, torus_counts_equal = [], True, True
     for mu in enumerate_partitions(n):
-        count, torus_dims, descriptors, varieties = _profile(partition_components(ComplexComponent, mu, n, k))
-        count_dual, torus_dims_dual, descriptors_dual, varieties_dual = _profile(
+        count, torus_dims, _, varieties = components_profile(partition_components(ComplexComponent, mu, n, k))
+        count_dual, torus_dims_dual, _, varieties_dual = components_profile(
             partition_components(ComplexComponent, mu, n, k_dual))
+        counts_equal &= count == count_dual
+        torus_counts_equal &= torus_dims == torus_dims_dual
         if varieties != varieties_dual:
             flagged.append(mu)
-        classes.append(
-            ClassDuality(
-                components=count,
-                components_dual=count_dual,
-                torus_counts_equal=torus_dims == torus_dims_dual,
-                descriptor_singularities_equal=descriptors == descriptors_dual,
-                variety_singularities_equal=varieties == varieties_dual,
-            )
-        )
     return DualityReport(
         n=n,
         k=k,
         k_dual=k_dual,
         betti_ranks=betti(n, k).ranks,
         betti_ranks_dual=betti(n, k_dual).ranks,
-        classes=tuple(classes),
+        counts_equal=counts_equal,
+        torus_counts_equal=torus_counts_equal,
         singularity_differences=tuple(flagged),
     )
 

@@ -53,10 +53,12 @@ PINNED = {
 }
 
 
-# duality --n 40 as text (92,642 bytes) and as JSON (116,517 bytes).
+# duality --n 40 as text (92,642 bytes) and as JSON (116,517 bytes), and
+# --n 48 as JSON (399,245 bytes).
 DUALITY_PINNED = {
     ("--n", "40"): "ced51b62c771ada9c019a296604c6db0cf8ca218683b9dc453580bad3b06ea42",
     ("--n", "40", "--format", "json"): "c4437a076af2d85bd8713a67ed8f7e8e1dfca5afd63f9563baeec711f72d353d",
+    ("--n", "48", "--format", "json"): "8b8c0f511c50f59a57c796be96fc19faa0d9c16097e807a5aa633a066a4dd5b1",
 }
 
 

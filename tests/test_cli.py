@@ -66,6 +66,10 @@ def test_usage_errors_exit_2(runner):
     assert runner.invoke(main, ["decompose", "--n", "6", "--k", "2", "--partition", "nonsense"]).exit_code == 2
     # partition that does not sum to n
     assert runner.invoke(main, ["decompose", "--n", "6", "--k", "2", "--partition", "1+1"]).exit_code == 2
+    # an empty partition is malformed, not a request for the whole catalog
+    result = runner.invoke(main, ["decompose", "--n", "4", "--partition", ""])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.splitlines()[-1] == "Error: malformed partition ''"
 
 
 def test_decompose_json_schema_and_partition_filter(runner):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (betti_from_catalog, duality_report_oracle, enumerated_class_counts, grid_text,
-                      variety_normal_form_oracle)
+from conftest import (betti_from_catalog, components_profile, duality_report_oracle, enumerated_class_counts,
+                      grid_text, variety_normal_form_oracle)
 from extquot import reference, topology
-from extquot.complex_quotient import (ComplexComponent, component_count_from_gcd, decompose, strata,
-                                     variety_normal_form)
+from extquot.complex_quotient import (ComplexComponent, component_count_from_gcd, decompose,
+                                     partition_components, strata, variety_normal_form)
 from extquot.numtheory import divisor_sigma, divisors
 from extquot.partitions import Partition, classified_partitions, enumerate_partitions, invariants, partitions_pairs
 from extquot.real_quotient import RealComponent
@@ -108,11 +108,18 @@ def _report(n, k):
     return next(report for report in duality_reports(n) if report.k == k)
 
 
-def _labelled(n):
-    """Every partition of n in enumeration order, with the index of its class
-    among the classes in the order they first occur."""
-    labels = {}
-    return [(Partition(n, runs), labels.setdefault(key, len(labels))) for runs, key in classified_partitions(n)]
+def _oracle_profile(mu, n, k):
+    """The conftest oracle's profile of one side of mu: its component count
+    and its multisets of torus dimensions, descriptors and varieties."""
+    return components_profile(partition_components(ComplexComponent, mu, n, k))
+
+
+def _firsts(n):
+    """The first partition of each invariant class of n, in enumeration order."""
+    firsts = {}
+    for runs, key in classified_partitions(n):
+        firsts.setdefault(key, runs)
+    return [Partition(n, runs) for runs in firsts.values()]
 
 
 def test_duality_report_12_2():
@@ -127,7 +134,6 @@ def test_duality_report_self_dual():
     report = _report(16, 4)
     assert report.k_dual == 4 and report.ok
     assert not report.singularity_differences
-    assert all(c.descriptor_singularities_equal for c in report.classes)
 
 
 def test_duality_report_6_1_singularity_differences():
@@ -137,32 +143,27 @@ def test_duality_report_6_1_singularity_differences():
     assert diffs == ["2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
     # at the level of raw group data, 3+3 differs too (A^1 vs A^1 / +-1),
     # but the quotient varieties there are isomorphic
-    descriptor_diffs = [str(mu) for mu, label in _labelled(6)
-                        if not report.classes[label].descriptor_singularities_equal]
+    descriptor_diffs = [str(mu) for mu in enumerate_partitions(6)
+                        if _oracle_profile(mu, 6, 1)[2] != _oracle_profile(mu, 6, 6)[2]]
     assert descriptor_diffs == ["3+3", "2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
 
 
 def test_duality_report_matches_per_partition_oracle():
-    """Every report, computed once per invariant class, equals the
-    per-partition loop, partition for partition and field for field, and
-    flags the same partitions in the same order."""
+    """Every side the reports profile from a class's strata has the count,
+    torus dimensions and varieties that decomposing each partition gives;
+    and every report, computed once per invariant class and pair {k, n/k},
+    equals the per-partition loop field for field and flags the same
+    partitions in the same order."""
     for n in range(1, 25):
-        labelled = _labelled(n)
-        assert [mu for mu, _ in labelled] == list(enumerate_partitions(n))
+        for mu in enumerate_partitions(n):
+            inv = invariants(mu)
+            for k in divisors(n):
+                count, torus_dims, _, varieties = _oracle_profile(mu, n, k)
+                assert topology._profile(strata(inv, n, k), {}) == (count, torus_dims, varieties), (n, k, str(mu))
         reports = duality_reports(n)
         assert [report.k for report in reports] == divisors(n)
         for fast in reports:
-            slow = duality_report_oracle(n, fast.k)
-            assert (fast.n, fast.k, fast.k_dual) == (slow.n, slow.k, slow.k_dual)
-            assert fast.betti_ranks == slow.betti_ranks
-            assert fast.betti_ranks_dual == slow.betti_ranks_dual
-            assert (fast.counts_equal, fast.torus_counts_equal) == (slow.counts_equal, slow.torus_counts_equal)
-            assert fast.ok == slow.ok
-            assert len(fast.classes) == len({label for _, label in labelled})
-            assert len(slow.classes) == len(labelled)
-            for (mu, label), expected in zip(labelled, slow.classes):
-                assert fast.classes[label] == expected, (n, fast.k, str(mu))
-            assert fast.singularity_differences == slow.singularity_differences
+            assert fast == duality_report_oracle(n, fast.k), (n, fast.k)
 
 
 def test_duality_flags_match_brute_force_normal_forms():
@@ -182,13 +183,13 @@ def test_duality_flags_match_brute_force_normal_forms():
         return counts
 
     for n in range(1, 25):
-        firsts = {label: mu for mu, label in reversed(_labelled(n))}
+        firsts = _firsts(n)
         for report in duality_reports(n):
-            assert len(report.classes) == len(firsts)
-            for label, mu in firsts.items():
+            flagged = set(report.singularity_differences)
+            for mu in firsts:
                 inv = invariants(mu)
                 equal = varieties(inv, n, report.k) == varieties(inv, n, report.k_dual)
-                assert report.classes[label].variety_singularities_equal == equal, (n, report.k, str(mu))
+                assert (mu in flagged) == (not equal), (n, report.k, str(mu))
     assert len(oracle) == 146  # distinct singularities in the reports for n <= 24
 
 
@@ -233,9 +234,11 @@ def test_duality_reports_work_once_per_class(monkeypatch):
 
 
 def test_duality_reports_hold_only_what_they_print():
-    """The reports of 30 hold one comparison per class and the flagged
-    partitions, not the 5,604 partitions of 30: their traced peak stays under
-    4 MB, where labelling every partition reached 8 MB."""
+    """The reports of 30 hold two flags per pair {k, n/k} and the flagged
+    partitions, not the 5,604 partitions of 30 nor a comparison per class
+    and divisor: their traced peak stays under 0.7 MB, where a comparison
+    per class and divisor reached 1.14 MB and labelling every partition
+    8 MB."""
     tracemalloc.start()
     try:
         reports = duality_reports(30)
@@ -243,7 +246,7 @@ def test_duality_reports_hold_only_what_they_print():
     finally:
         tracemalloc.stop()
     assert all(report.ok for report in reports)
-    assert peak < 4_000_000, peak
+    assert peak < 700_000, peak
 
 
 def test_square_free_answers_do_not_vary_with_k():
