@@ -227,7 +227,7 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
 def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_dir: str | None,
                fmt: str) -> None:
     """Recompute reference tables (and, for suite=all, the property suites)."""
-    selected = tables or reference.TABLE_IDS
+    selected = tuple(dict.fromkeys(tables)) or reference.TABLE_IDS  # a repeated --table is verified once
     try:
         reports = [reference.verify(table_id, fixture_dir=fixture_dir) for table_id in selected]
     except reference.FixtureError as exc:

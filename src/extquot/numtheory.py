@@ -1,7 +1,9 @@
 """Exact integer arithmetic helpers.
 
 Everything in this module is pure, deterministic and carried out in
-arbitrary-precision integers; no floating point is used anywhere.
+arbitrary-precision integers, apart from the 64-bit cells of
+:func:`pillai_via_totient_table`, which refuse a value that does not fit;
+no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -42,6 +44,32 @@ def pillai_via_totient(a: int) -> int:
     if a < 1:
         raise ValueError("pillai_via_totient is defined for positive integers")
     return sum(d * totient(a // d) for d in divisors(a))
+
+
+def pillai_via_totient_table(max_a: int) -> memoryview:
+    """The same divisor sums for every a <= max_a at once, indexed by a
+    (entry 0 is 0), from one totient sieve run in place.
+
+    The sieve leaves phi(q) at each q.  Then, for q from max_a // 2 down to
+    1, d * phi(q) is added at d * q for every d >= 2; x[q] still holds
+    phi(q) when q is reached, because only its proper divisors write to it
+    and they come later.  The table is a buffer of 64-bit integers, not a
+    list of int objects.
+    """
+    if max_a < 1:
+        raise ValueError("pillai_via_totient_table needs max_a >= 1")
+    x = memoryview(bytearray(8 * (max_a + 1))).cast("q")
+    for a in range(max_a + 1):
+        x[a] = a
+    for p in range(2, max_a + 1):
+        if x[p] == p:  # untouched by any smaller prime, so p is prime
+            for m in range(p, max_a + 1, p):
+                x[m] -= x[m] // p
+    for q in range(max_a // 2, 0, -1):
+        phi = x[q]
+        for d in range(2, max_a // q + 1):
+            x[d * q] += d * phi
+    return x
 
 
 def totient(n: int) -> int:

@@ -219,6 +219,9 @@ def distinct_part_counts(n: int) -> list[list[int]]:
     return rows
 
 
+_DISTINCT = [[1]]  # distinct_part_counts(N) for the last N built, here N = 0
+
+
 @lru_cache(maxsize=128)
 def gcd_distinct_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """How many partitions of n fall in each (gcd of parts, distinct parts)
@@ -227,10 +230,18 @@ def gcd_distinct_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     The partitions of n with every part divisible by d are d times those of
     n/d, so they number c(n/d, b).  Those with part-gcd exactly g are left
     after subtracting the exact counts of every divisor d > g of n with g | d.
+
+    The rows c(s, .) come from one module table, the rows of
+    distinct_part_counts(N): for s <= N they do not depend on N but for
+    trailing zero columns.  When n > N it is rebuilt at max(n, 2N), so a run
+    of ascending n rebuilds it O(log n) times and it never holds more than
+    twice the largest n asked for.
     """
     if n < 1:
         raise ValueError("gcd_distinct_counts needs a positive integer")
-    rows = distinct_part_counts(n)
+    rows = _DISTINCT
+    if len(rows) <= n:
+        rows[:] = distinct_part_counts(max(n, 2 * (len(rows) - 1)))
     exact: dict[int, list[int]] = {}
     for g in reversed(divisors(n)):
         row = rows[n // g]

@@ -5,7 +5,7 @@ catalog was streamed row by row, except the complex (40, 4) CSV and (40, 2)
 markdown ones, taken before rows were filled in from per-class templates;
 they are too large for ``tests/golden/``.
 The duality reports of 40 are pinned beside them, taken while every report
-still labelled all partitions of 40.
+still labelled all partitions of 40, and two Betti and K-theory tables.
 Small catalogs are compared byte for byte with the held-catalog rendering
 that ``decompose`` used to print.
 """
@@ -62,6 +62,15 @@ DUALITY_PINNED = {
 }
 
 
+# table betti --k 1 --max-n 120 (9,830 bytes) and table ktheory --max-n 40
+# (3,214 bytes), both as CSV, taken before the Betti fold read its counts
+# from one shared distinct-part table; both reach past the fixtures.
+TABLE_PINNED = {
+    ("betti", "--k", "1", "--max-n", "120"): "e656a99ee4fa97cc24de43993c869e01559f34428185077f42251f6a9bd0adfa",
+    ("ktheory", "--max-n", "40"): "249b328799588385eca352811144b520f6087edb67f8e73e004e57736c6a0414",
+}
+
+
 @pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
 def test_large_catalog_digest_is_pinned(args):
     result = CliRunner().invoke(main, ["decompose", *args])
@@ -74,6 +83,13 @@ def test_large_duality_digest_is_pinned(args):
     result = CliRunner().invoke(main, ["duality", *args])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == DUALITY_PINNED[args]
+
+
+@pytest.mark.parametrize("args", sorted(TABLE_PINNED), ids=" ".join)
+def test_large_table_digest_is_pinned(args):
+    result = CliRunner().invoke(main, ["table", *args])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == TABLE_PINNED[args]
 
 
 def _held_rendering(n: int, k: int, form: str, entries, fmt: str) -> str:

@@ -244,6 +244,24 @@ def test_verify_json_format(runner):
     assert payload["reports"][0]["mismatches"] == []
 
 
+def test_verify_repeated_table_is_verified_once(runner):
+    args = ["verify", "paper", "--table", "ktheory", "--table", "su6_orientability", "--table", "ktheory"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "ktheory: 380 cells checked, ok",
+        "su6_orientability: 56 cells checked, ok",
+        "verification clean",
+    ]
+    result = runner.invoke(main, [*args, "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["ok"] is True
+    assert [(r["table"], r["cells_checked"]) for r in payload["reports"]] == [
+        ("ktheory", 380), ("su6_orientability", 56),
+    ]
+
+
 def test_unknown_verify_suite_exits_2(runner):
     assert runner.invoke(main, ["verify", "everything"]).exit_code == 2
 

@@ -13,6 +13,7 @@ from extquot.numtheory import (
     divisors,
     pillai,
     pillai_via_totient,
+    pillai_via_totient_table,
     totient,
     two_adic_valuation,
     unimodular_completion,
@@ -39,9 +40,19 @@ def test_pillai_via_totient_values():
     assert pillai_via_totient(6) == 15
 
 
-def test_pillai_equivalence_small_range():
-    for a in range(1, 2001):
-        assert pillai(a) == pillai_via_totient(a)
+def test_pillai_via_totient_table_matches_both_forms():
+    """The sieved table against the per-a divisor sum of trial-division
+    totients and the multiplicative closed form, for every a <= 10^4; a
+    smaller table is the prefix of a larger one."""
+    table = pillai_via_totient_table(10_000)
+    assert len(table) == 10_001 and table[0] == 0
+    for a in range(1, 10_001):
+        assert table[a] == pillai_via_totient(a) == pillai(a), a
+    for max_a in range(1, 40):
+        assert list(pillai_via_totient_table(max_a)) == list(table[:max_a + 1]), max_a
+    for max_a in (0, -5):
+        with pytest.raises(ValueError):
+            pillai_via_totient_table(max_a)
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=10**6))

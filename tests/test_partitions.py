@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (descending_partitions, enumerated_class_counts, iter_gcd_distinct,
                       two_kind_series_coefficients)
+from extquot import partitions
 from extquot.partitions import (
     Partition,
     by_class,
@@ -193,9 +194,32 @@ def test_distinct_part_counts_match_enumeration():
         assert sum(rows[s]) == partition_count(s)
 
 
-def test_gcd_distinct_counts_match_enumeration():
+def test_gcd_distinct_counts_match_enumeration(monkeypatch):
+    """Counts read from the one distinct-part table, whether it was grown in
+    descending or ascending order of n or already holds n = 60, against a
+    walk over every partition.  The table never holds more than twice the
+    largest n asked for, and each of its rows is the last row of a fresh
+    distinct_part_counts(s) but for trailing zeros."""
+    expected = {n: enumerated_class_counts(n) for n in range(1, 41)}
+    for order in (range(40, 0, -1), range(1, 41)):
+        gcd_distinct_counts.cache_clear()
+        monkeypatch.setattr(partitions, "_DISTINCT", [[1]])
+        largest = 0
+        for n in order:
+            assert gcd_distinct_counts(n) == expected[n], n
+            largest = max(largest, n)
+            assert n < len(partitions._DISTINCT) <= 2 * largest + 1, n
+    gcd_distinct_counts(60)
+    gcd_distinct_counts.cache_clear()
     for n in range(1, 41):
-        assert gcd_distinct_counts(n) == enumerated_class_counts(n), n
+        assert gcd_distinct_counts(n) == expected[n], n
+    rows = partitions._DISTINCT
+    assert 61 <= len(rows) <= 121
+    for s in range(61):
+        row = rows[s]
+        while row and not row[-1]:
+            row = row[:-1]
+        assert row == distinct_part_counts(s)[s], s
     with pytest.raises(ValueError):
         gcd_distinct_counts(0)
 

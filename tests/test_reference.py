@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from extquot import reference
+from extquot import numtheory, partitions, reference
 
 FAST_TABLES = ("betti_k1", "ktheory", "sl6_catalogs", "sl16_examples", "su6_orientability")
 
@@ -73,6 +73,36 @@ def test_property_suites_small_ranges():
     assert reference.property_euler_divisor(20).ok
     assert reference.property_top_betti(20).ok
     assert reference.property_pillai(500).ok
+
+
+def test_property_pillai_runs_no_per_a_totient(monkeypatch):
+    """Pillai's identity is read from one sieve: no trial-division totient
+    or divisor list is made for any a."""
+    calls = []
+
+    def counted(fn):
+        return lambda n: calls.append(fn.__name__) or fn(n)
+
+    for name in ("totient", "divisors"):
+        monkeypatch.setattr(numtheory, name, counted(getattr(numtheory, name)))
+    monkeypatch.setattr(reference, "divisors", numtheory.divisors)
+    report = reference.property_pillai(10_000)
+    assert report.ok and report.cells_checked == 10_000
+    assert calls == []
+
+
+def test_betti_and_ktheory_tables_build_few_distinct_part_tables(monkeypatch):
+    """Verifying the Betti and K-theory tables from an empty distinct-part
+    table builds it at most 7 times, never past twice their largest n."""
+    built = []
+    fresh = partitions.distinct_part_counts
+    monkeypatch.setattr(partitions, "distinct_part_counts", lambda n: built.append(n) or fresh(n))
+    monkeypatch.setattr(partitions, "_DISTINCT", [[1]], raising=False)
+    partitions.gcd_distinct_counts.cache_clear()
+    for table_id in ("betti_k1", "betti_k2", "ktheory"):
+        assert reference.verify(table_id).ok, table_id
+    assert 1 <= len(built) <= 7, built
+    assert max(built) <= 120
 
 
 def test_diff_report_summary_text():
