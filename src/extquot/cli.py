@@ -6,8 +6,9 @@ component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
 check that would walk more than MAX_CATALOG_ROWS partitions, or a reference
 fixture that is missing, empty or lacks a required column.  Output is
-deterministic across runs, and the exit status never depends on the reader:
-one that closes the pipe early only ends the printing.  Importing this module
+deterministic across runs and block-buffered while a command prints, even
+under PYTHONUNBUFFERED; the exit status never depends on the reader: one that
+closes the pipe early only ends the printing.  Importing this module
 ends with gc.freeze(): what the imports built lives until exit, so no garbage
 collection walks it again, not even the ones at exit.
 """
@@ -85,10 +86,21 @@ def parse_partition(text: str) -> Partition:
 
 @contextmanager
 def _stdout() -> Iterator[TextIO]:
-    """Standard output, for a command to print to.  A reader that closes the
-    pipe early, as ``| head`` does, only ends the printing: there is no
-    traceback, and the exit status still comes from the command's results."""
-    out = sys.stdout  # not click's stdout, which is line buffered and would write each row on its own
+    """Standard output, for a command to print to, block-buffered while the
+    command prints.  A reader that closes the pipe early, as ``| head``
+    does, only ends the printing: there is no traceback, and the exit status
+    still comes from the command's results.
+
+    Under ``PYTHONUNBUFFERED`` (or ``-u``) ``sys.stdout`` writes through to
+    the file descriptor, one ``write(2)`` per ``write`` call, which is one per
+    catalog row.  For the length of the command it collects up to 8 KiB of
+    text before each write instead, and writes through again afterwards.
+    What it prints, and when the command has printed it all, is unchanged.
+    """
+    out = sys.stdout  # not click's stdout, which flushes at every newline and so writes each row on its own
+    write_through = getattr(out, "write_through", False)  # a TextIOWrapper's setting; StringIO has none
+    if write_through:
+        out.reconfigure(write_through=False)
     try:
         yield out
         out.flush()
@@ -96,6 +108,9 @@ def _stdout() -> Iterator[TextIO]:
         # Send what is still buffered to the null device so that exiting
         # does not report it.
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+    finally:
+        if write_through:
+            out.reconfigure(write_through=True)
 
 
 @click.group()
@@ -188,18 +203,22 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
     failed = any(not report.ok for report in reports)
     with _stdout() as out:
         if fmt == "json":
-            payload = [
-                {
+            # json.dumps(payload, indent=2) of the list of every report,
+            # written one report at a time.
+            joint = "[\n"
+            for report in reports:
+                text = json.dumps({
                     "n": report.n,
                     "k": report.k,
                     "k_dual": report.k_dual,
                     "betti_equal": report.betti_equal,
                     "counts_equal": report.counts_equal,
                     "singularity_differences": [str(p) for p in report.singularity_differences],
-                }
-                for report in reports
-            ]
-            click.echo(json.dumps(payload, indent=2), file=out)
+                }, indent=2)
+                out.write(joint + "  ")
+                out.write(text.replace("\n", "\n  "))
+                joint = ",\n"
+            out.write("\n]\n")
         else:
             for report in reports:
                 status = "ok" if report.ok else "MISMATCH"

@@ -98,5 +98,17 @@ def bundle_orientable_k1(mu: Partition) -> bool:
 
 def orientable_k1(g: int, runs: tuple[tuple[int, int], ...]) -> bool:
     """:func:`bundle_orientable_k1` from the part-gcd g and per-run parities:
-    non-orientable iff some m is even and some run (j, m) has j/g + m even."""
-    return all(m & 1 for _, m in runs) or all((j // g + m) & 1 for j, m in runs)
+    non-orientable iff some m is even and some run (j, m) has j/g + m even.
+
+    Called once per row of a k = 1 real catalog, so it reads the runs in
+    plain loops, which build no generator: orientable as soon as every m is
+    odd, else not at the first run with j/g + m even."""
+    for _, m in runs:
+        if not m & 1:
+            break
+    else:
+        return True
+    for j, m in runs:
+        if not (j // g + m) & 1:
+            return False
+    return True

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .complex_quotient import (
+    CyclicSingularity,
     Stratum,
     component_count_from_gcd,
     strata,
@@ -127,18 +128,23 @@ class DualityReport:
         return self.betti_equal and self.counts_equal and self.torus_counts_equal
 
 
-def _profile(layers: list[Stratum], forms: dict) -> tuple[int, Counter, Counter]:
+def _profile(layers: list[Stratum], forms: dict[tuple, CyclicSingularity]
+             ) -> tuple[int, dict[int, int], dict[CyclicSingularity, int]]:
     """One side of a class's duality comparison: its component count and the
     multisets of torus dimensions and variety normal forms, each weighted by
-    multiplicity.  ``forms`` maps (p, d) to the normal form of A^(c-b) / C_d,
-    which (p, c - b = sum(p), d) fix."""
-    torus_dims, varieties = Counter(), Counter()
+    multiplicity, tallied in plain dicts, which cost less to build than
+    Counters and hold no zero tally, since every multiplicity is positive.
+    ``forms`` maps (p, d) to the normal form of A^(c-b) / C_d, which
+    (p, c - b = sum(p), d) fix."""
+    torus_dims: dict[int, int] = {}
+    varieties: dict[CyclicSingularity, int] = {}
     for s in layers:
         key = (s.invariants.p, s.d)
         if key not in forms:
             forms[key] = variety_normal_form(s.singularity)
-        torus_dims[s.torus_dim] += s.multiplicity
-        varieties[forms[key]] += s.multiplicity
+        torus_dims[s.torus_dim] = torus_dims.get(s.torus_dim, 0) + s.multiplicity
+        variety = forms[key]
+        varieties[variety] = varieties.get(variety, 0) + s.multiplicity
     return sum(torus_dims.values()), torus_dims, varieties
 
 
@@ -164,7 +170,7 @@ def duality_reports(n: int) -> list[DualityReport]:
     ks = divisors(n)
     lows = [k for k in ks if k * k <= n]  # the smaller k of each pair {k, n/k}
     pairs = [k for k in lows if k * k < n]
-    forms: dict = {}
+    forms: dict[tuple, CyclicSingularity] = {}
     counts_equal, torus_counts_equal = dict.fromkeys(lows, True), dict.fromkeys(lows, True)
     flagged: dict[int, list[Partition]] = {k: [] for k in lows}
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import extquot
 from conftest import _catalog_csv_rows, _catalog_grid, catalog_json_dict, grid_text
-from extquot import catalog, real_quotient
+from extquot import catalog, cli, real_quotient
 from extquot.cli import FORMS, main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose, partition_components, strata
 from extquot.numtheory import divisors
@@ -286,20 +286,26 @@ def test_catalog_renders_run_order_cells_per_run(monkeypatch, form, k):
 ])
 def test_reader_closing_early_exits_zero(fmt, first_line):
     """``decompose ... | head -1``: the dump stops without a traceback and
-    exits 0, as it did when the whole catalog was written at once."""
-    env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "extquot.cli", "decompose", "--n", "30", "--k", "2", "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        assert proc.stdout.readline() == first_line
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=120) == 0, stderr
-    finally:
-        proc.kill()
-        proc.wait()
-    assert stderr == b""
+    exits 0, as it did when the whole catalog was written at once; with
+    stdout block-buffered, and with it written through under
+    ``PYTHONUNBUFFERED``, which the command batches only while it prints."""
+    for unbuffered in (None, "1"):
+        env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "extquot.cli", "decompose", "--n", "30", "--k", "2", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() == first_line, unbuffered
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, (unbuffered, stderr)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert stderr == b"", unbuffered
 
 
 class _ByteCounter(io.RawIOBase):
@@ -314,6 +320,42 @@ class _ByteCounter(io.RawIOBase):
     def write(self, data) -> int:
         self.count += len(data)
         return len(data)
+
+
+class _RawRecorder(_ByteCounter):
+    """A binary sink that keeps what is written to it and counts the writes,
+    as a file descriptor would count write(2) calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.data = bytearray()
+        self.writes = 0
+
+    def write(self, data) -> int:
+        self.writes += 1
+        self.data += data
+        return super().write(data)
+
+
+def test_write_through_stdout_is_batched_while_a_catalog_prints(monkeypatch):
+    """Under ``PYTHONUNBUFFERED`` sys.stdout is a write-through TextIOWrapper
+    over the raw file, which writes once per ``write`` call, so once per row
+    of the 5,780 of the (30, 2) catalog.  The command collects up to 8 KiB
+    per raw write instead, prints the same bytes, and leaves the stream
+    writing through again.  The wrapper sends its pending text on when the
+    next row would take it past 8 KiB, and no row is 1 KiB long, so each
+    raw write but the last holds more than 7 KiB."""
+    recorder = _RawRecorder()
+    stdout = io.TextIOWrapper(recorder, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    main.main(args=["decompose", "--n", "30", "--k", "2", "--format", "json"], standalone_mode=False)
+    held = _held_rendering(30, 2, "complex", decompose(ComplexComponent, 30, 2), "json").encode()
+    assert recorder.data == held
+    assert recorder.writes <= len(held) // 7168 + 4, recorder.writes
+    assert stdout.write_through
+    writes = recorder.writes
+    stdout.write("x")
+    assert recorder.writes == writes + 1
 
 
 def _traced(run):
@@ -341,3 +383,19 @@ def test_full_catalog_streams_in_flat_memory(monkeypatch):
     stdout.flush()
     assert counter.count == len(held)
     assert peak < STREAMED_PEAK_BOUND, peak
+
+
+def test_duality_json_is_written_report_by_report(monkeypatch):
+    """``duality --n 40 --format json`` writes one report at a time: with the
+    reports computed beforehand, printing them has a traced peak under
+    400 kB, where building the list of every report and one string of all
+    116,517 bytes peaked at about 675 kB."""
+    reports = cli.duality_reports(40)
+    monkeypatch.setattr(cli, "duality_reports", lambda n: reports)
+    counter = _ByteCounter()
+    stdout = io.TextIOWrapper(io.BufferedWriter(counter), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    _, peak = _traced(lambda: main.main(args=["duality", "--n", "40", "--format", "json"], standalone_mode=False))
+    stdout.flush()
+    assert counter.count == 116_517
+    assert peak < 400_000, peak

@@ -152,19 +152,25 @@ def test_duality_command(runner):
 
 def test_duality_reader_closing_early_exits_zero():
     """``duality --n 36 | head -1``: no report is a mismatch, so the command
-    exits 0 although the reader stops before its 80 kB of output end."""
-    env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "extquot.cli", "duality", "--n", "36"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        assert proc.stdout.readline().startswith(b"n=36 k=1 <-> k'=36: betti = dual, counts = dual [ok]")
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        assert proc.wait(timeout=120) == 0, stderr
-    finally:
-        proc.kill()
-        proc.wait()
-    assert stderr == b""
+    exits 0 although the reader stops before its 80 kB of output end; with
+    stdout block-buffered, and with it written through under
+    ``PYTHONUNBUFFERED``."""
+    for unbuffered in (None, "1"):
+        env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen([sys.executable, "-m", "extquot.cli", "duality", "--n", "36"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline().startswith(b"n=36 k=1 <-> k'=36: betti = dual, counts = dual [ok]")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, (unbuffered, stderr)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert stderr == b"", unbuffered
 
 
 def test_version_from_a_source_checkout():

@@ -58,6 +58,19 @@ def test_orientability_rule_matches_oracle_on_long_runs(runs, scale):
         tuple(sorted((scale * part, mult) for part, mult in runs.items()))))
 
 
+@given(st.lists(st.tuples(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=50)),
+                min_size=1, max_size=12, unique_by=lambda run: run[0]),
+       st.sampled_from([1, 2, 3, 4, 6, 8]), st.booleans())
+def test_orientability_rule_matches_oracle_on_many_runs(runs, scale, odd):
+    """The same on partitions of up to 12 runs with multiplicities up to 50,
+    beyond n = 30: with every multiplicity made odd (orientable at once)
+    or as drawn, where the first run with j/g + m even may stand anywhere."""
+    if odd:
+        runs = [(part, mult - 1 + (mult & 1)) for part, mult in runs]
+    _assert_orientability_rule_matches_oracle(Partition(
+        sum(scale * part * mult for part, mult in runs), tuple(sorted((scale * part, mult) for part, mult in runs))))
+
+
 def test_su6_table():
     entries = decompose(RealComponent, 6, 1)
     assert [e.multiplicity for e in entries] == [6, 1, 2, 1, 3, 1, 1, 2, 1, 1, 1]
