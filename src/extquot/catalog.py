@@ -116,6 +116,15 @@ def _markdown_fields(entry, k: int) -> list[tuple[str, object]]:
 
 
 _markdown_cell = _grid_cell(",")
+
+
+def component_text(entry, k: int) -> str:
+    """The line ``component --format text`` prints: each markdown field of
+    ``entry`` that has a label, as label=cell."""
+    return " ".join(f"{_LABELS[name][1]}={_markdown_cell(name, value)}"
+                    for name, value in _markdown_fields(entry, k) if _LABELS[name][1])
+
+
 # Per format: the named fields of an entry, and the cell of one field.
 _FORMATS = {
     "json": (lambda entry, k: list(entry.to_dict().items()), _json_cell),

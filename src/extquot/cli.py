@@ -26,7 +26,7 @@ from typing import Callable, Iterator, TextIO
 import click
 
 from . import __version__, catalog, reference, topology
-from .catalog import FORMS, _LABELS, _markdown_cell, _markdown_fields
+from .catalog import FORMS, component_text
 from .complex_quotient import catalog_rows, partition_components
 from .partitions import Partition, partition_count
 from .topology import betti, duality_reports, euler_characteristic, grid_lines, ktheory_ranks
@@ -160,7 +160,7 @@ def _summary_command(name: str, doc: str, values: Callable[[int, int], dict]) ->
         text = (json.dumps({"n": n, "k": k, **named}) if fmt == "json" else
                 " ".join(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in named.values()))
         with _stdout() as out:
-            click.echo(text, file=out)
+            out.write(text + "\n")
 
 
 for _summary in _SUMMARIES:
@@ -225,12 +225,13 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
                 line = (
                     f"n={report.n} k={report.k} <-> k'={report.k_dual}: betti "
                     f"{'=' if report.betti_equal else '!='} dual, counts "
-                    f"{'=' if report.counts_equal else '!='} dual [{status}]"
+                    f"{'=' if report.counts_equal else '!='} dual"
+                    f"{'' if report.torus_counts_equal else ', torus dims != dual'} [{status}]"
                 )
                 if report.singularity_differences:
                     line += (" (singularity structure differs for: "
                              + ", ".join(map(str, report.singularity_differences)) + ")")
-                click.echo(line, file=out)
+                out.write(line + "\n")
     if failed:
         ctx.exit(1)
 
@@ -272,13 +273,13 @@ def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_
                     for report in reports
                 ],
             }
-            click.echo(json.dumps(payload, indent=2), file=out)
+            out.write(json.dumps(payload, indent=2) + "\n")
         else:
             for report in reports:
-                click.echo(report.summary(), file=out)
+                out.write(report.summary() + "\n")
                 for m in report.mismatches:
-                    click.echo(f"  {m.location}: expected {m.expected!r}, got {m.actual!r}", file=out)
-            click.echo("verification " + ("clean" if clean else "FAILED"), file=out)
+                    out.write(f"  {m.location}: expected {m.expected!r}, got {m.actual!r}\n")
+            out.write("verification " + ("clean" if clean else "FAILED") + "\n")
     if not clean:
         ctx.exit(1)
 
@@ -301,10 +302,9 @@ def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form
     if fmt == "json":
         text = json.dumps(entry.to_dict(), indent=2)
     else:
-        text = " ".join(f"{_LABELS[name][1]}={_markdown_cell(name, value)}"
-                        for name, value in _markdown_fields(entry, k) if _LABELS[name][1])
+        text = component_text(entry, k)
     with _stdout() as out:
-        click.echo(text, file=out)
+        out.write(text + "\n")
 
 
 # Everything imported by now lives until the process exits.

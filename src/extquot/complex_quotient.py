@@ -281,8 +281,8 @@ def variety_normal_form(s: CyclicSingularity) -> CyclicSingularity:
     d = s.group_order
     weights = list(s.weights)
     count = len(weights)
-    if count == 0:
-        return CyclicSingularity(0, 1, ())
+    # Every weight stays a residue below d, so all are 0 once d is 1; with no
+    # coordinates, gcd(d) = d and the first shrink already reaches d = 1.
     while d > 1:
         shrink = math.gcd(d, *weights)
         if shrink > 1:
@@ -308,6 +308,4 @@ def variety_normal_form(s: CyclicSingularity) -> CyclicSingularity:
             c_i = d // math.gcd(d, d_new * w)
             new_weights.append((c_i * w * d_new // d) % d_new)
         d, weights = d_new, new_weights
-    if d == 1:
-        weights = [0] * count
     return canonical_singularity(CyclicSingularity(count, d, tuple(weights)))

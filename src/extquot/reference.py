@@ -114,10 +114,6 @@ def fixture_path(table_id: str, fixture_dir: str | Path | None = None) -> Path:
     return base / f"{table_id}.csv"
 
 
-def fixture_text(table_id: str, fixture_dir: str | Path | None = None) -> str:
-    return fixture_path(table_id, fixture_dir).read_text(encoding="utf-8")
-
-
 def load_rows(table_id: str, fixture_dir: str | Path | None = None) -> list[dict[str, str]]:
     """The fixture's rows, after checking its header, that each row has a
     cell per column, the form of its number and partition cells and its
@@ -265,6 +261,14 @@ def _verify_su6(table_id, rows) -> DiffReport:
 # Property suites: cross-cutting identities re-checked over ranges of n.
 
 
+def _count_by_omega(g: int, n: int, k: int) -> int:
+    """The number of components of a partition of n with part-gcd g in the
+    (n, k) quotient, by definition: the sum over omega_e = zeta_h^e for
+    e < h = gcd(g, k) of gcd(g / |omega_e|, n/k)."""
+    h = math.gcd(g, k)
+    return sum(math.gcd(g // (h // math.gcd(h, e)), n // k) for e in range(h))
+
+
 def property_oracle_equivalence(max_n: int = 40) -> DiffReport:
     """Closed-form component counts vs. the brute-force sum over omega.
 
@@ -277,11 +281,7 @@ def property_oracle_equivalence(max_n: int = 40) -> DiffReport:
     for n in range(1, max_n + 1):
         for k in divisors(n):
             for g in divisors(n):
-                h = math.gcd(g, k)
-                brute = sum(
-                    math.gcd(g // (h // math.gcd(h, e)), n // k) for e in range(h)
-                )
-                report.check(f"n={n} k={k} g={g}", brute, component_count_from_gcd(g, n, k))
+                report.check(f"n={n} k={k} g={g}", _count_by_omega(g, n, k), component_count_from_gcd(g, n, k))
     return report
 
 
@@ -298,14 +298,18 @@ def property_pillai(max_a: int = 10000) -> DiffReport:
 
 
 def property_duality(max_n: int = 30) -> DiffReport:
-    """Betti vectors and per-gcd component counts invariant under k <-> n/k."""
+    """Betti vectors and per-gcd component counts invariant under k <-> n/k.
+
+    The counts are the sums over omega that define them, not the closed form,
+    which is symmetric in k and n/k as written."""
     report = DiffReport("duality")
     for n in range(1, max_n + 1):
-        for k in divisors(n):
+        ks = divisors(n)
+        counts = {(g, k): _count_by_omega(g, n, k) for g in ks for k in ks}
+        for k in ks:
             report.check(f"betti n={n} k={k}", betti(n, n // k).ranks, betti(n, k).ranks)
-            for g in divisors(n):
-                report.check(f"count n={n} k={k} g={g}", component_count_from_gcd(g, n, n // k),
-                             component_count_from_gcd(g, n, k))
+            for g in ks:
+                report.check(f"count n={n} k={k} g={g}", counts[g, n // k], counts[g, k])
     return report
 
 

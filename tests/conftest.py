@@ -9,17 +9,23 @@ fold over a full catalog instead of the class-count Betti fold, a
 duality report that builds and compares both sides of every partition
 instead of sharing one comparison per invariant class, and CSV and markdown
 grids of a held catalog instead of rows streamed from per-class cells.
+
+They also hold what only the tests call: the unimodular change of torus
+coordinates with its Bareiss determinant, Pillai's identity summed per a, and
+the text of a reference fixture.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, Sequence
 
+from extquot import reference
 from extquot.catalog import _flag, _omega_str, _variety_str
 from extquot.complex_quotient import (
     ComplexComponent,
@@ -29,6 +35,7 @@ from extquot.complex_quotient import (
     partition_components,
     variety_normal_form,
 )
+from extquot.numtheory import divisors, totient
 from extquot.partitions import enumerate_partitions
 from extquot.topology import BettiVector, DualityReport, betti, grid_lines
 
@@ -67,6 +74,112 @@ def cofactor_det(rows) -> int:
     return minor(0, (1 << n) - 1)
 
 
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended Euclid: returns (g, x, y) with x*a + y*b == g == gcd(|a|, |b|) >= 0."""
+    old_r, r = abs(a), abs(b)
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if a < 0:
+        old_x = -old_x
+    if b < 0:
+        old_y = -old_y
+    return old_r, old_x, old_y
+
+
+def det_exact(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            for j in range(i + 1, n):
+                if m[j][i] != 0:
+                    m[i], m[j] = m[j], m[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for j in range(i + 1, n):
+            for col in range(i + 1, n):
+                m[j][col] = (m[j][col] * m[i][i] - m[j][i] * m[i][col]) // prev
+            m[j][i] = 0
+        prev = m[i][i]
+    return sign * m[n - 1][n - 1]
+
+
+@dataclass(frozen=True)
+class UnimodularMatrix:
+    """Square integer matrix with determinant exactly +1."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        size = len(self.entries)
+        if size == 0:
+            raise ValueError("empty matrix")
+        if any(len(row) != size for row in self.entries):
+            raise ValueError("matrix is not square")
+        if det_exact(self.entries) != 1:
+            raise ValueError("determinant is not +1")
+
+    @property
+    def size(self) -> int:
+        return len(self.entries)
+
+    def column(self, j: int) -> tuple[int, ...]:
+        return tuple(row[j] for row in self.entries)
+
+
+def unimodular_completion(v: Sequence[int]) -> UnimodularMatrix:
+    """Complete an integer vector to a determinant-one matrix: the change of
+    torus coordinates that pushes a diagonal cyclic action onto one
+    coordinate.
+
+    Returns A in SL_b(Z) whose first column is v / gcd(v).  The matrix is
+    assembled deterministically by chaining 2x2 extended-Euclid blocks from
+    the bottom of the vector upwards: each block folds a pair of entries into
+    their gcd, and A accumulates the inverse blocks.
+
+    For b == 1 the entry must be positive, since SL_1(Z) = {(1)}: a single
+    negative entry has no completion with determinant +1.
+    """
+    vec = list(v)
+    if not vec or all(x == 0 for x in vec):
+        raise ValueError("cannot complete the zero vector")
+    g = math.gcd(*vec)
+    w = [x // g for x in vec]
+    b = len(w)
+    if b == 1:
+        if w[0] != 1:
+            raise ValueError("a single-entry vector must be positive")
+        return UnimodularMatrix(((1,),))
+    a = [[1 if i == j else 0 for j in range(b)] for i in range(b)]
+    u = w[:]
+    for i in range(b - 1, 0, -1):
+        x, y = u[i - 1], u[i]
+        if x == 0 and y == 0:
+            continue
+        g2, p, q = ext_gcd(x, y)
+        u[i - 1], u[i] = g2, 0
+        xg, yg = x // g2, y // g2
+        # Right-multiply by the inverse block [[xg, -q], [yg, p]] acting on
+        # columns (i-1, i); only those two columns change.
+        for row in a:
+            left, right = row[i - 1], row[i]
+            row[i - 1] = left * xg + right * yg
+            row[i] = -left * q + right * p
+    return UnimodularMatrix(tuple(tuple(row) for row in a))
+
+
 def primes_up_to(limit: int) -> list[int]:
     sieve = bytearray([1]) * (limit + 1)
     sieve[0:2] = b"\x00\x00"
@@ -89,6 +202,21 @@ def two_kind_series_coefficients(max_degree: int) -> list[int]:
 def pillai_gcd_sum(a: int) -> int:
     """Pillai's function by its definition: sum of gcd(a, s) for s = 0..a-1."""
     return sum(map(math.gcd, repeat(a), range(a)))
+
+
+def pillai_via_totient(a: int) -> int:
+    """Pillai's function computed as the sum over divisors d of a of
+    d * phi(a/d): gcd(a, s) = d for exactly phi(a/d) of s = 0, ..., a-1.
+    The result always equals ``pillai(a)``.
+    """
+    if a < 1:
+        raise ValueError("pillai_via_totient is defined for positive integers")
+    return sum(d * totient(a // d) for d in divisors(a))
+
+
+def fixture_text(table_id: str) -> str:
+    """The text of the bundled reference fixture ``table_id``."""
+    return reference.fixture_path(table_id).read_text(encoding="utf-8")
 
 
 def descending_partitions(n: int) -> Iterator[list[int]]:

@@ -9,7 +9,14 @@ import math
 import random
 import time
 
-from conftest import cofactor_det, grid_text, iter_gcd_distinct, two_kind_series_coefficients
+from conftest import (
+    cofactor_det,
+    fixture_text,
+    grid_text,
+    iter_gcd_distinct,
+    two_kind_series_coefficients,
+    unimodular_completion,
+)
 from extquot import reference, topology
 from extquot.complex_quotient import (
     ComplexComponent,
@@ -18,7 +25,7 @@ from extquot.complex_quotient import (
     decompose,
     partition_components,
 )
-from extquot.numtheory import divisors, unimodular_completion
+from extquot.numtheory import divisors
 from extquot.partitions import Partition, partitions_pairs
 from extquot.real_quotient import RealComponent, bundle_orientable_k1
 
@@ -42,7 +49,7 @@ def test_criterion_2_betti_table_k2():
     assert report.ok, report.mismatches
     assert report.cells_checked == 30 * 10
     computed = topology.betti_table(60, 2, even_only=True)
-    assert grid_text(topology.betti_grid(computed), "csv") == reference.fixture_text("betti_k2")
+    assert grid_text(topology.betti_grid(computed), "csv") == fixture_text("betti_k2")
     print(f"\nCRITERION 2 PASS: betti(n,2) matches all 30 even rows to n=60 exactly [{elapsed:.1f}s]")
 
 

@@ -358,6 +358,21 @@ def test_write_through_stdout_is_batched_while_a_catalog_prints(monkeypatch):
     assert recorder.writes == writes + 1
 
 
+@pytest.mark.parametrize("args", [["verify", "all"], ["duality", "--n", "12"]])
+def test_write_through_stdout_gets_one_write_per_short_command(monkeypatch, args):
+    """A command that prints under 8 KiB line by line reaches a write-through
+    sys.stdout in one raw write at its final flush; printing each line
+    through ``click.echo``, which flushes after every line, made 12 for
+    ``verify all`` and 6 for ``duality --n 12``."""
+    recorder = _RawRecorder()
+    stdout = io.TextIOWrapper(recorder, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    main.main(args=args, standalone_mode=False)
+    assert recorder.writes == 1
+    assert 0 < len(recorder.data) < 8192
+    assert stdout.write_through
+
+
 def _traced(run):
     """The result of ``run()`` and the peak of the memory traced while it ran."""
     tracemalloc.start()

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import extquot
+from conftest import fixture_text
 from extquot import cli, reference, topology
 from extquot.cli import main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose
@@ -121,18 +122,18 @@ def test_component_command(runner):
 
 def test_table_betti_reproduces_reference_csv(runner):
     result = runner.invoke(main, ["table", "betti", "--max-n", "45", "--k", "1"])
-    assert result.output == reference.fixture_text("betti_k1")
+    assert result.output == fixture_text("betti_k1")
 
 
 def test_table_betti_k2_reproduces_reference_csv(runner):
     result = runner.invoke(main, ["table", "betti", "--max-n", "60", "--k", "2", "--even-only"])
     assert result.exit_code == 0
-    assert result.output == reference.fixture_text("betti_k2")
+    assert result.output == fixture_text("betti_k2")
 
 
 def test_table_ktheory_reproduces_reference_csv(runner):
     result = runner.invoke(main, ["table", "ktheory", "--max-n", "20"])
-    assert result.output == reference.fixture_text("ktheory")
+    assert result.output == fixture_text("ktheory")
 
 
 def test_table_empty(runner):
@@ -148,6 +149,38 @@ def test_duality_command(runner):
     payload = json.loads(result.output)
     assert payload[0]["betti_equal"] is True
     assert payload[0]["singularity_differences"] == ["2+2+2", "1+1+2+2", "1+1+1+1+1+1"]
+
+
+@pytest.mark.parametrize("change, flag, verdict", [
+    (lambda s: s._replace(multiplicity=s.multiplicity + 1), "counts_equal",
+     "counts != dual, torus dims != dual [MISMATCH]"),
+    (lambda s: s._replace(torus_dim=s.torus_dim + 1), "torus_counts_equal",
+     "counts = dual, torus dims != dual [MISMATCH]"),
+], ids=["count", "torus_dims"])
+def test_duality_fails_on_a_side_that_is_not_dual(runner, monkeypatch, change, flag, verdict):
+    """One stratum on the n/k = 6 side of the pair k = 2 at n = 12, the first
+    of the one-part partition 12, gets one more point, which its torus
+    dimension's tally counts too, or moves to another torus dimension with
+    its count kept.  The pair's two reports fail on that flag, their text
+    lines say why, the other reports pass, and the command exits 1."""
+    strata = topology.strata
+
+    def perturbed(inv, n, k):
+        layers = strata(inv, n, k)
+        if k == 6 and inv.g == 12:
+            layers[0] = change(layers[0])
+        return layers
+
+    monkeypatch.setattr(topology, "strata", perturbed)
+    for report in topology.duality_reports(12):
+        assert getattr(report, flag) is (report.k not in (2, 6)), report.k
+        assert report.ok is (report.k not in (2, 6)), report.k
+    result = runner.invoke(main, ["duality", "--n", "12"])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    for line, k, k_dual in (lines[1], 2, 6), (lines[4], 6, 2):
+        assert line.startswith(f"n=12 k={k} <-> k'={k_dual}: betti = dual, {verdict}"), line
+    assert sum("[MISMATCH]" in line for line in lines) == 2
 
 
 def test_duality_reader_closing_early_exits_zero():
@@ -182,6 +215,18 @@ def test_version_from_a_source_checkout():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b""
     assert proc.stdout.decode().split()[-1] == extquot.__version__ == "0.1.0"
+
+
+def test_readme_library_block_imports_the_public_names():
+    """The ``from extquot import (...)`` block under "## Library" in the
+    README names exactly ``extquot.__all__``, and each name resolves."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = library.split("from extquot import (", 1)[1].split(")", 1)[0]
+    names = [name.strip() for name in block.split(",") if name.strip()]
+    assert sorted(names) == sorted(extquot.__all__)
+    for name in names:
+        assert getattr(extquot, name) is not None, name
 
 
 def test_import_freezes_the_heap_it_built():

@@ -5,19 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cofactor_det, pillai_gcd_sum, plain_cofactor_det, primes_up_to
-from extquot.numtheory import (
+from conftest import (
     UnimodularMatrix,
+    cofactor_det,
     det_exact,
-    divisor_sigma,
-    divisors,
-    pillai,
+    pillai_gcd_sum,
     pillai_via_totient,
-    pillai_via_totient_table,
-    totient,
-    two_adic_valuation,
+    plain_cofactor_det,
+    primes_up_to,
     unimodular_completion,
 )
+from extquot.numtheory import divisor_sigma, divisors, pillai, pillai_via_totient_table, totient, two_adic_valuation
 
 
 def test_pillai_small_values():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (betti_from_catalog, components_profile, duality_report_oracle, enumerated_class_counts,
-                      grid_text, variety_normal_form_oracle)
-from extquot import reference, topology
+                      fixture_text, grid_text, variety_normal_form_oracle)
+from extquot import topology
 from extquot.complex_quotient import (ComplexComponent, component_count_from_gcd, decompose,
                                      partition_components, strata, variety_normal_form)
 from extquot.numtheory import divisor_sigma, divisors
@@ -262,12 +262,12 @@ def test_betti_table_rows():
 
 def test_render_betti_csv_round_trips_reference_table():
     vectors = betti_table(45, 1)
-    assert grid_text(betti_grid(vectors), "csv") == reference.fixture_text("betti_k1")
+    assert grid_text(betti_grid(vectors), "csv") == fixture_text("betti_k1")
 
 
 def test_render_ktheory_csv_round_trips_reference_table():
     rows = ktheory_table(20)
-    assert grid_text(ktheory_grid(rows), "csv") == reference.fixture_text("ktheory")
+    assert grid_text(ktheory_grid(rows), "csv") == fixture_text("ktheory")
 
 
 def test_render_empty_and_markdown():
