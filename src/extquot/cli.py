@@ -64,7 +64,7 @@ def _count_unless_oversized(n: int, count: Callable[[], int]) -> int | None:
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "1+1+2+2", "4,4,4,4" or run-length "2^2,4^1" syntax.
+    """Parse "1+1+2+2", "4,4,4,4" or run-length "2^2,4^1" syntax, digits after every "^".
 
     Runs are kept as (part, multiplicity) pairs and never expanded, so a
     huge multiplicity costs nothing before the sum is checked.
@@ -72,10 +72,10 @@ def parse_partition(text: str) -> Partition:
     runs: Counter[int] = Counter()
     for token in text.replace("+", ",").split(","):
         token = token.strip()
-        base, _, mult = token.partition("^")
+        base, caret, mult = token.partition("^")
         try:
             j = int(base)
-            m = int(mult) if mult else 1
+            m = int(mult) if caret else 1
         except ValueError:
             raise click.UsageError(f"malformed partition {text!r}") from None
         if j < 1 or m < 1:

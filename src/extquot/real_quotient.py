@@ -17,13 +17,11 @@ the bundle itself is orientable (answered here for k = 1 only).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
 from .complex_quotient import Component, Stratum
 from .numtheory import two_adic_valuation
-from .partitions import Partition
 
 
 @dataclass(frozen=True)
@@ -80,25 +78,15 @@ class RealComponent(Component):
         return data
 
 
-def bundle_orientable_k1(mu: Partition) -> bool:
-    """Orientability of the k = 1 polysimplex bundle over the base torus.
+def orientable_k1(g: int, runs: tuple[tuple[int, int], ...]) -> bool:
+    """Orientability of the k = 1 polysimplex bundle over the base torus of
+    a partition with part-gcd g and (part, multiplicity) runs ``runs``.
 
     The bundle is non-orientable exactly when the vectors (j_1/g, ..., j_b/g)
     and (m_{j_1} - 1, ..., m_{j_b} - 1) are linearly independent over Z/2.
-    The first vector is never zero mod 2 (its entries are coprime), so for
-    two vectors independence means: second vector nonzero and different from
-    the first.
-    """
-    g = math.gcd(*[j for j, _ in mu.runs])
-    parts_vec = [j // g % 2 for j, _ in mu.runs]
-    mults_vec = [(m - 1) % 2 for _, m in mu.runs]
-    independent = any(mults_vec) and mults_vec != parts_vec
-    return not independent
-
-
-def orientable_k1(g: int, runs: tuple[tuple[int, int], ...]) -> bool:
-    """:func:`bundle_orientable_k1` from the part-gcd g and per-run parities:
-    non-orientable iff some m is even and some run (j, m) has j/g + m even.
+    The first is never zero mod 2, its entries being coprime, so that means:
+    some m is even, and some run (j, m) has j/g + m even.  This is the one
+    rule every command prints.
 
     Called once per row of a k = 1 real catalog, so it reads the runs in
     plain loops, which build no generator: orientable as soon as every m is

@@ -6,32 +6,28 @@ catalogs for all four k, the n = 16 worked cases, and the n = 6 real
 orientability table).  They are checked in as plain text precisely so they
 are reviewable, and they are never regenerated from the code they verify.
 
-:func:`verify` recomputes every cell of a table and reports per-cell
-mismatches: the Betti and K-theory fixtures are diffed with the grids the
-``table`` command prints, every column of either, and the catalogs field by
-field.  The property suites re-run the cross-cutting identities (closed form
-vs. brute force, duality, Euler characteristic, top Betti numbers).
+:func:`verify` diffs every cell of a table with what a command prints and
+reports per-cell mismatches: the Betti and K-theory fixtures with the grids
+of ``table``, every column of either, and the catalogs field by field with
+the CSV rows of :func:`extquot.catalog.write`.  The property suites re-run
+the cross-cutting identities (closed form vs. brute force, duality, Euler
+characteristic, top Betti numbers).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .complex_quotient import (
-    ComplexComponent,
-    canonical_singularity,
-    component_count_from_gcd,
-    decompose,
-    partition_components,
-)
+from . import catalog
+from .complex_quotient import CyclicSingularity, canonical_singularity, component_count_from_gcd
 from .numtheory import divisor_sigma, divisors, pillai, pillai_via_totient_table
 from .partitions import Partition
-from .real_quotient import RealComponent, bundle_orientable_k1
 from .topology import betti, betti_grid, betti_table, euler_characteristic, ktheory_grid, ktheory_table, top_betti
 
 CATALOG_COLUMNS = ("partition", "omega_exponent", "omega_order", "x_card",
@@ -198,59 +194,61 @@ def _verify_grid(table_id, rows, grid, prefix) -> DiffReport:
     return report
 
 
-def _catalog_fields(entry) -> dict[str, str]:
-    canon = canonical_singularity(entry.singularity)
-    return {
-        "partition": str(entry.partition),
-        "omega_exponent": str(entry.omega.exponent),
-        "omega_order": str(entry.omega.order),
-        "x_card": str(entry.multiplicity),
-        "torus_dim": str(entry.torus_dim),
-        "ambient_dim": str(canon.ambient_dim),
-        "group_order": str(canon.group_order),
-        "weights": " ".join(str(w) for w in canon.weights),
-    }
+def _printed_rows(form: str, n: int, k: int, partition: Partition | None = None) -> list[dict[str, str]]:
+    """The CSV rows :func:`extquot.catalog.write` prints for the (n, k)
+    catalog of ``form``, or for the rows of ``partition`` only, each a dict
+    by printed column."""
+    out = io.StringIO()
+    catalog.write(out, form, n, k, "csv", partition)
+    header, *lines = csv.reader(out.getvalue().splitlines())
+    return [dict(zip(header, line)) for line in lines]
 
 
 def _verify_catalog(table_id, rows) -> DiffReport:
+    """Diff each (n, k) row group with the printed complex catalog, or with the
+    rows of each listed partition, printed by the lookup path: x_card is the
+    printed multiplicity, and weights are compared in canonical form."""
     report = DiffReport(table_id)
     groups: dict[tuple[int, int], list[dict[str, str]]] = {}
     for row in rows:
         groups.setdefault((int(row["n"]), int(row["k"])), []).append(row)
     for (n, k), expected_rows in groups.items():
         if table_id == "sl6_catalogs":
-            entries = decompose(ComplexComponent, n, k)
+            printed = _printed_rows("complex", n, k)
         else:
-            # The worked cases list a few partitions; only those are computed.
-            entries = []
-            for text in sorted({row["partition"] for row in expected_rows}):
-                mu = Partition.from_parts(int(p) for p in text.split("+"))
-                entries.extend(partition_components(ComplexComponent, mu, n, k))
-            entries.sort(key=lambda e: (str(e.partition), e.omega.exponent))
+            printed = [line for text in sorted({row["partition"] for row in expected_rows})
+                       for line in _printed_rows("complex", n, k, Partition.from_parts(map(int, text.split("+"))))]
             expected_rows = sorted(expected_rows, key=lambda r: (r["partition"], int(r["omega_exponent"])))
-        if not report.check(f"n={n} k={k} row count", len(expected_rows), len(entries)):
+        if not report.check(f"n={n} k={k} row count", len(expected_rows), len(printed)):
             continue
-        for idx, (row, entry) in enumerate(zip(expected_rows, entries)):
-            actual = _catalog_fields(entry)
+        for idx, (row, line) in enumerate(zip(expected_rows, printed)):
+            singularity = CyclicSingularity(int(line["ambient_dim"]), int(line["group_order"]),
+                                            tuple(map(int, line["weights"].split())))
+            actual = {**line, "x_card": line["multiplicity"],
+                      "weights": " ".join(map(str, canonical_singularity(singularity).weights))}
             for name in CATALOG_COLUMNS:
                 report.check(f"n={n} k={k} row {idx} {name}", row[name], actual[name])
     return report
 
 
 def _verify_su6(table_id, rows) -> DiffReport:
+    """Diff the table with the printed real (6, 1) catalog: the m - 1 vector
+    is its fiber simplex dimensions, orientability its one flag column, and
+    the j/g vector is read from its printed parts."""
     report = DiffReport(table_id)
-    entries = decompose(RealComponent, 6, 1)
-    if not report.check("row count", len(rows), len(entries)):
+    printed = _printed_rows("real", 6, 1)
+    if not report.check("row count", len(rows), len(printed)):
         return report
-    for idx, (row, entry) in enumerate(zip(rows, entries)):
-        mu = entry.partition
-        g = math.gcd(*(j for j, _ in mu.runs))
+    (flag,) = catalog.FORMS["real"].flag_names
+    for idx, (row, line) in enumerate(zip(rows, printed)):
+        parts = [int(j) for j in dict.fromkeys(line["partition"].split("+"))]
+        g = math.gcd(*parts)
         actual = {
-            "partition": str(mu),
-            "jg_vector": " ".join(str(j // g) for j, _ in mu.runs),
-            "m_minus_one_vector": " ".join(str(m - 1) for _, m in mu.runs),
-            "x_card": str(entry.multiplicity),
-            "orientable": "Yes" if bundle_orientable_k1(mu) else "No",
+            "partition": line["partition"],
+            "jg_vector": " ".join(str(j // g) for j in parts),
+            "m_minus_one_vector": line["fiber_simplex_dims"],
+            "x_card": line["multiplicity"],
+            "orientable": line[flag].capitalize(),
         }
         for name in SU6_COLUMNS:
             report.check(f"row {idx} {name}", row[name], actual[name])

@@ -105,23 +105,18 @@ def top_betti(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """The comparison of the (n, k) and (n, n/k) quotients: whether every
-    invariant class of partitions of n has as many components and the same
-    torus dimensions on both sides, and the partitions whose varieties differ
-    between the two sides, in enumeration order."""
+    """The comparison of the (n, k) and (n, n/k) quotients: whether their Betti
+    vectors agree, whether every invariant class of partitions of n has as many
+    components and the same torus dimensions on both sides, and the partitions
+    whose varieties differ between the two sides, in enumeration order."""
 
     n: int
     k: int
     k_dual: int
-    betti_ranks: tuple[int, ...]
-    betti_ranks_dual: tuple[int, ...]
+    betti_equal: bool
     counts_equal: bool
     torus_counts_equal: bool
     singularity_differences: tuple[Partition, ...]
-
-    @property
-    def betti_equal(self) -> bool:
-        return self.betti_ranks == self.betti_ranks_dual
 
     @property
     def ok(self) -> bool:
@@ -194,7 +189,7 @@ def duality_reports(n: int) -> list[DualityReport]:
             flagged[k].append(mu)
     differences = {k: tuple(mus) for k, mus in flagged.items()}
     ranks = {k: betti(n, k).ranks for k in ks}
-    return [DualityReport(n=n, k=k, k_dual=n // k, betti_ranks=ranks[k], betti_ranks_dual=ranks[n // k],
+    return [DualityReport(n=n, k=k, k_dual=n // k, betti_equal=ranks[k] == ranks[n // k],
                           counts_equal=counts_equal[low], torus_counts_equal=torus_counts_equal[low],
                           singularity_differences=differences[low])
             for k in ks for low in [min(k, n // k)]]

@@ -10,6 +10,7 @@ import random
 import time
 
 from conftest import (
+    bundle_orientable_k1,
     cofactor_det,
     fixture_text,
     grid_text,
@@ -27,7 +28,7 @@ from extquot.complex_quotient import (
 )
 from extquot.numtheory import divisors
 from extquot.partitions import Partition, partitions_pairs
-from extquot.real_quotient import RealComponent, bundle_orientable_k1
+from extquot.real_quotient import RealComponent
 
 
 def test_criterion_1_betti_table_k1():

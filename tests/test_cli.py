@@ -34,7 +34,7 @@ def test_parse_partition_syntaxes():
 def test_parse_partition_rejects_garbage():
     import click
 
-    for text in ("", "1++2", "a+b", "0", "2^0"):
+    for text in ("", "1++2", "a+b", "0", "2^0", "2^", "2^,4"):
         with pytest.raises(click.UsageError):
             parse_partition(text)
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import betti_from_catalog, catalog_json_dict
+from conftest import betti_from_catalog, bundle_orientable_k1, catalog_json_dict
 from extquot.complex_quotient import ComplexComponent, decompose, partition_components
 from extquot.numtheory import divisors
 from extquot.partitions import Partition, enumerate_partitions, invariants, partition_count
-from extquot.real_quotient import RealComponent, bundle_orientable_k1, orientable_k1
+from extquot.real_quotient import RealComponent, orientable_k1
 
 
 def test_real_component_examples():

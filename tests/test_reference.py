@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from extquot import numtheory, partitions, reference
+from extquot import catalog, complex_quotient, numtheory, partitions, real_quotient, reference
 
 FAST_TABLES = ("betti_k1", "ktheory", "sl6_catalogs", "sl16_examples", "su6_orientability")
 
@@ -14,6 +14,27 @@ def test_verify_clean(table_id):
     report = reference.verify(table_id)
     assert report.ok, report.mismatches
     assert report.cells_checked > 0
+
+
+@pytest.mark.parametrize("table_id", ["sl6_catalogs", "sl16_examples"])
+def test_catalogs_are_diffed_with_the_printed_rows(monkeypatch, table_id):
+    """A fault in the strata the catalog writer prints is a mismatch in the
+    x_card column: the catalogs are checked through the command's own path."""
+    strata = complex_quotient.strata
+    monkeypatch.setattr(catalog, "strata",
+                        lambda inv, n, k: [s._replace(multiplicity=s.multiplicity + 1) for s in strata(inv, n, k)])
+    report = reference.verify(table_id)
+    assert report.mismatches
+    assert {m.location.rsplit(" ", 1)[1] for m in report.mismatches} == {"x_card"}
+
+
+def test_orientability_is_read_from_the_printed_rule(monkeypatch):
+    """Negating the rule the real catalog prints makes every row of the
+    orientability table a mismatch in its orientable column."""
+    rule = real_quotient.orientable_k1
+    monkeypatch.setattr(real_quotient, "orientable_k1", lambda g, runs: not rule(g, runs))
+    report = reference.verify("su6_orientability")
+    assert [m.location for m in report.mismatches] == [f"row {i} orientable" for i in range(11)]
 
 
 def test_unknown_table_rejected():
