@@ -110,7 +110,7 @@ def _markdown_fields(entry, k: int) -> list[tuple[str, object]]:
             ("join_counts", entry.join_counts),
             ("action_orientation_preserving", entry.action_orientation_preserving),
         ]
-        if k == 1:
+        if entry.bundle_orientable is not None:
             fields.append(("bundle_orientable", entry.bundle_orientable))
     return fields
 
@@ -175,7 +175,7 @@ def write(out: TextIO, form: str, n: int, k: int, fmt: str, partition: Partition
             if fmt != "json":
                 out.writelines(grid_lines([[_LABELS[name][0] for name in names] if fmt == "markdown" else names], fmt))
             listed = [name for name in names if name in component_type.run_items(layers[0].d, *mu.runs[0])]
-            flags = component_type.flag_names if component_type.run_flags(layers[0], mu.runs) else ()
+            flags = tuple(name for name in component_type.flag_names if name in names)
             # A listed field's cell is prefix + its entries joined by separator + suffix.
             layouts = {name: cell(name, (_GAP, _GAP)).split(_GAP) for name in listed}
             separators = [separator for _, separator, _ in layouts.values()]

@@ -38,7 +38,8 @@ from .topology import betti, duality_reports, euler_characteristic, grid_lines, 
 # refused; single-partition lookups are not limited.
 MAX_CATALOG_ROWS = 1_000_000
 # Up to this n a refusal states the exact count, which takes milliseconds at
-# n = 1,000; above it the count is not computed.
+# n = 1,000.  Above it nothing is counted: P is non-decreasing, so every larger
+# n has P(n) >= P(61) > MAX_CATALOG_ROWS and is refused uncounted.
 EXACT_COUNT_MAX_N = 1_000
 
 
@@ -48,19 +49,6 @@ def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None
         raise click.UsageError(f"k={k} must divide n={n}")
     if partition is not None and partition.n != n:
         raise click.UsageError(f"partition {partition.run_length_str()} sums to {partition.n}, not n={n}")
-
-
-def _count_unless_oversized(n: int, count: Callable[[], int]) -> int | None:
-    """``count()``, a count of catalog rows or partitions of n that is at
-    least P(n); or None, counting nothing, when n > EXACT_COUNT_MAX_N and
-    P(n) > MAX_CATALOG_ROWS.
-
-    P is non-decreasing, so Euler's recurrence runs only until the first m
-    with P(m) over the limit, m = 61 for the default limit.
-    """
-    if n > EXACT_COUNT_MAX_N and any(partition_count(m) > MAX_CATALOG_ROWS for m in range(n + 1)):
-        return None
-    return count()
 
 
 def parse_partition(text: str) -> Partition:
@@ -131,7 +119,7 @@ def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str
     partition = parse_partition(partition_text) if partition_text is not None else None
     _check_arguments(n, k, partition)
     if partition is None:
-        rows = _count_unless_oversized(n, lambda: catalog_rows(n, k))
+        rows = catalog_rows(n, k) if n <= EXACT_COUNT_MAX_N else None
         if rows is None or rows > MAX_CATALOG_ROWS:
             amount = "more rows than" if rows is None else f"{rows:,} rows, more than"
             click.echo(f"Error: the (n={n}, k={k}) catalog has {amount} the "
@@ -193,7 +181,7 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
     """Check Langlands duality for every divisor k of n."""
     if n < 1:
         raise click.UsageError("n must be positive")
-    count = _count_unless_oversized(n, lambda: partition_count(n))
+    count = partition_count(n) if n <= EXACT_COUNT_MAX_N else None
     if count is None or count > MAX_CATALOG_ROWS:
         amount = "all" if count is None else f"all {count:,}"
         click.echo(f"Error: duality for n={n} compares {amount} partitions of {n}, more than "
@@ -207,14 +195,8 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
             # written one report at a time.
             joint = "[\n"
             for report in reports:
-                text = json.dumps({
-                    "n": report.n,
-                    "k": report.k,
-                    "k_dual": report.k_dual,
-                    "betti_equal": report.betti_equal,
-                    "counts_equal": report.counts_equal,
-                    "singularity_differences": [str(p) for p in report.singularity_differences],
-                }, indent=2)
+                text = json.dumps({**vars(report), "singularity_differences":
+                                   [str(p) for p in report.singularity_differences]}, indent=2)
                 out.write(joint + "  ")
                 out.write(text.replace("\n", "\n  "))
                 joint = ",\n"
@@ -265,10 +247,7 @@ def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_
                     {
                         "table": report.table_id,
                         "cells_checked": report.cells_checked,
-                        "mismatches": [
-                            {"location": m.location, "expected": m.expected, "actual": m.actual}
-                            for m in report.mismatches
-                        ],
+                        "mismatches": [vars(m) for m in report.mismatches],
                     }
                     for report in reports
                 ],

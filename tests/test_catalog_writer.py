@@ -53,12 +53,12 @@ PINNED = {
 }
 
 
-# duality --n 40 as text (92,642 bytes) and as JSON (116,517 bytes), and
-# --n 48 as JSON (399,245 bytes).
+# duality --n 40 as text (92,642 bytes) and as JSON (116,773 bytes), and
+# --n 48 as JSON (399,565 bytes); each JSON report holds all three verdicts.
 DUALITY_PINNED = {
     ("--n", "40"): "ced51b62c771ada9c019a296604c6db0cf8ca218683b9dc453580bad3b06ea42",
-    ("--n", "40", "--format", "json"): "c4437a076af2d85bd8713a67ed8f7e8e1dfca5afd63f9563baeec711f72d353d",
-    ("--n", "48", "--format", "json"): "8b8c0f511c50f59a57c796be96fc19faa0d9c16097e807a5aa633a066a4dd5b1",
+    ("--n", "40", "--format", "json"): "67b961f7bf50679440ffcd79c365aa57f9ae0ae6eb8bf9f9bfb6963799a7a632",
+    ("--n", "48", "--format", "json"): "81e40d05db78690e7ecf5857c05ecf9c312a8414dce5cf2abcc444c9ab10c2fb",
 }
 
 
@@ -230,7 +230,7 @@ def test_catalog_classifies_once_per_class(monkeypatch):
 def test_real_catalog_computes_run_fields_once_per_row(monkeypatch):
     """Each row of the real (20, 1) catalog, one per partition of 20, reads
     its partition's bundle orientability once, from its class's part-gcd and
-    its runs; one more call names the run-order columns."""
+    its runs, and nothing else reads it."""
     calls = []
 
     def counted(g, runs):
@@ -240,7 +240,7 @@ def test_real_catalog_computes_run_fields_once_per_row(monkeypatch):
     monkeypatch.setattr(real_quotient, "orientable_k1", counted)
     result = CliRunner().invoke(main, ["decompose", "--n", "20", "--form", "real", "--format", "csv"])
     assert result.exit_code == 0, result.output
-    assert len(calls) == partition_count(20) + 1 == 628
+    assert len(calls) == partition_count(20) == 627
     assert all(g == math.gcd(*(j for j, _ in runs)) for g, runs in calls)
 
 
@@ -409,8 +409,8 @@ def test_full_catalog_streams_in_flat_memory(monkeypatch):
 def test_duality_json_is_written_report_by_report(monkeypatch):
     """``duality --n 40 --format json`` writes one report at a time: with the
     reports computed beforehand, printing them has a traced peak under
-    400 kB, where building the list of every report and one string of all
-    116,517 bytes peaked at about 675 kB."""
+    400 kB, where building the list of every report and one string of the
+    whole output peaked at about 675 kB."""
     reports = cli.duality_reports(40)
     monkeypatch.setattr(cli, "duality_reports", lambda n: reports)
     counter = _ByteCounter()
@@ -418,5 +418,5 @@ def test_duality_json_is_written_report_by_report(monkeypatch):
     monkeypatch.setattr(sys, "stdout", stdout)
     _, peak = _traced(lambda: main.main(args=["duality", "--n", "40", "--format", "json"], standalone_mode=False))
     stdout.flush()
-    assert counter.count == 116_517
+    assert counter.count == 116_773
     assert peak < 400_000, peak

@@ -162,7 +162,8 @@ def test_duality_fails_on_a_side_that_is_not_dual(runner, monkeypatch, change, f
     of the one-part partition 12, gets one more point, which its torus
     dimension's tally counts too, or moves to another torus dimension with
     its count kept.  The pair's two reports fail on that flag, their text
-    lines say why, the other reports pass, and the command exits 1."""
+    lines and JSON records say why, the other reports pass, and the command
+    exits 1 in either format."""
     strata = topology.strata
 
     def perturbed(inv, n, k):
@@ -181,6 +182,10 @@ def test_duality_fails_on_a_side_that_is_not_dual(runner, monkeypatch, change, f
     for line, k, k_dual in (lines[1], 2, 6), (lines[4], 6, 2):
         assert line.startswith(f"n=12 k={k} <-> k'={k_dual}: betti = dual, {verdict}"), line
     assert sum("[MISMATCH]" in line for line in lines) == 2
+    result = runner.invoke(main, ["duality", "--n", "12", "--format", "json"])
+    assert result.exit_code == 1
+    for record in json.loads(result.output):
+        assert record[flag] is (record["k"] not in (2, 6)), record["k"]
 
 
 def test_duality_reader_closing_early_exits_zero():
@@ -269,13 +274,15 @@ def _fixture_copy(tmp_path):
     return tmp_path
 
 
-def _verify_table(runner, table_id, fixture_dir):
+def _verify_table(runner, table_id, fixture_dir, *options):
     return runner.invoke(main, [
-        "verify", "paper", "--table", table_id, "--fixture-dir", str(fixture_dir),
+        "verify", "paper", "--table", table_id, "--fixture-dir", str(fixture_dir), *options,
     ])
 
 
 def test_verify_reports_injected_fault(runner, tmp_path):
+    """A fixture cell changed by one is reported in the text line, and in
+    JSON as the mismatch's location, expected and actual, in that order."""
     path = _fixture_copy(tmp_path) / "ktheory.csv"
     text = path.read_text().replace("609/569", "609/570")
     path.write_text(text)
@@ -283,6 +290,11 @@ def test_verify_reports_injected_fault(runner, tmp_path):
     assert result.exit_code == 1
     assert "n=16 k=4" in result.output
     assert "expected '609/570', got '609/569'" in result.output
+    result = _verify_table(runner, "ktheory", tmp_path, "--format", "json")
+    assert result.exit_code == 1
+    assert ('          "location": "n=16 k=4",\n'
+            '          "expected": "609/570",\n'
+            '          "actual": "609/569"\n') in result.output
 
 
 def test_verify_json_format(runner):
@@ -529,18 +541,20 @@ def test_duality_partition_limit_is_inclusive(runner, monkeypatch):
     ["decompose", "--n", "1000000", "--k", "1", "--form", "real"],
 ])
 def test_oversized_n_is_refused_without_counting_past_1000(runner, no_enumeration, monkeypatch, args):
-    """P is non-decreasing, so an n with more partitions than the limit is
-    refused without running the partition recurrence up to n."""
+    """P is non-decreasing, and every n above cli.EXACT_COUNT_MAX_N has more
+    partitions than the limit, so such an n is refused without counting any."""
+    assert partition_count(cli.EXACT_COUNT_MAX_N + 1) > cli.MAX_CATALOG_ROWS
+    counted = []
 
-    def bounded(n):
-        if n > 1000:
-            raise AssertionError(f"ran the partition recurrence to {n}")
+    def recorded(n):
+        counted.append(n)
         return partition_count(n)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("extquot") and hasattr(module, "partition_count"):
-            monkeypatch.setattr(module, "partition_count", bounded)
+            monkeypatch.setattr(module, "partition_count", recorded)
     result = runner.invoke(main, args)
+    assert counted == []
     assert result.exit_code == 2, result.output
     assert result.stdout == ""
     message = result.stderr.strip()

@@ -3,7 +3,9 @@
 Each file under ``tests/golden/`` is the stdout of one command as the CLI
 printed it before its catalog engine and table writers were merged, or, for
 ``duality --n 30`` and ``--n 36``, before duality reports were shared per
-invariant class; n = 36 has the self-dual divisor k = 6.  ``verify all``
+invariant class; n = 36 has the self-dual divisor k = 6.  The JSON of
+``--n 30`` was captured again when each report gained its
+``torus_counts_equal`` verdict, its only change.  ``verify all``
 was captured before the verifier counted its cells through one check, and
 pins every table's cell count.  The two ``component`` lines for n = 6,
 k = 1 were captured before the text line was built from the markdown
