@@ -1,14 +1,14 @@
 """The catalog writer behind ``decompose``: JSON, CSV or markdown, written
 row by row as it is produced.
 
-Only a row's run-order cells depend on more than its partition's invariant
-class (g, m, b, c, p) and omega.  So the rows come from one walk over the runs
-of the partitions of n (:func:`~extquot.partitions.by_class`): the first
-partition of each class is the only one built as a Partition, with its
-invariants and strata, and each of its rows is rendered once as a text
-template with a gap for each run-order cell.  Every partition of the class
+Only a row's run-order cells depend on more than its stratum's shape (g,
+omega, torus_dim, singularity, multiplicity).  So the rows come from one walk
+over the runs of the partitions of n (:func:`~extquot.partitions.by_class`):
+the first partition of each invariant class is the only one built as a
+Partition, with its invariants and strata, and each new shape is rendered
+once as a text template with a gap for each run-order cell.  Every partition
 fills the gaps from the rendered text of its runs, so memory grows with the
-classes and the distinct runs, not with rows.
+shapes, the distinct runs and the class keys, not with rows.
 """
 
 from __future__ import annotations
@@ -158,18 +158,24 @@ def write(out: TextIO, form: str, n: int, k: int, fmt: str, partition: Partition
     (``component_type.run_fields``).  The gap of a field ``run_items`` lists
     is joined from the fragments of the runs, each rendered once per fibre
     order d; the gap of a ``run_flags`` field is its cell, rendered once per
-    value.  Templates and fragments live for one call.
+    value, by ``run_flags`` of the first stratum of the row's shape, which
+    reads only g and k.  Templates and fragments live for one call.
     """
     component_type = FORMS[form]
     fields, cell = _FORMATS[fmt]
     separators = gaps = fragments = flags = flag_cells = None  # laid out by the first class
+    templates, shared = {}, {}  # rows by shape, and tuples of rows by the shapes of a class
     pending = None  # the flags of each row of the partition first() was called on, read from its fields
 
-    def first(mu: Partition) -> list:
-        """Per row of the class of mu: the template, the stratum and the run fragments."""
+    def first(mu: Partition) -> tuple:
+        """Per row of the class of mu: the template, its shape's first stratum and the run fragments."""
         nonlocal separators, gaps, fragments, flags, flag_cells, pending
         layers = strata(invariants(mu), n, k)
-        named = [fields(component_type.from_stratum(s, mu), k) for s in layers]
+        shapes = tuple((s.invariants.g, s.omega, s.torus_dim, s.singularity, s.multiplicity) for s in layers)
+        if shapes in shared:
+            return shared[shapes]
+        new = [(shape, s) for shape, s in zip(shapes, layers) if shape not in templates]
+        named = [fields(component_type.from_stratum(s, mu), k) for _, s in new]
         if flags is None:
             names = [name for name, _ in named[0]]
             if fmt != "json":
@@ -183,10 +189,13 @@ def write(out: TextIO, form: str, n: int, k: int, fmt: str, partition: Partition
             gaps.update((name, "%s") for name in flags)
             fragments = _Rendered(lambda d: _run_fragments(component_type, d, cell, layouts))
             flag_cells = [(cell(name, False), cell(name, True)) for name in flags]  # indexed by value
-        if flags:
+        if flags and len(new) == len(layers):  # else the walk reads them all from run_flags
             pending = [[value for name, value in row if name in flags] for row in named]
-        return [(_row_text([gaps[name] if name in gaps else _escaped(cell(name, value)) for name, value in row], fmt),
-                 s, fragments[s.d]) for s, row in zip(layers, named)]
+        for (shape, s), row in zip(new, named):
+            templates[shape] = (_row_text([gaps[name] if name in gaps else _escaped(cell(name, value))
+                                           for name, value in row], fmt), s, fragments[s.d])
+        shared[shapes] = tuple(templates[shape] for shape in shapes)
+        return shared[shapes]
 
     if fmt == "json":
         out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
