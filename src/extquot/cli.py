@@ -5,25 +5,27 @@ Commands: decompose, betti, ktheory, euler, table, duality, verify,
 component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
 check that would walk more than MAX_CATALOG_ROWS partitions, or a reference
-fixture that is missing, empty or lacks a required column.  Output is
-deterministic across runs and block-buffered while a command prints, even
-under PYTHONUNBUFFERED; the exit status never depends on the reader: one that
-closes the pipe early only ends the printing.  Importing this module
-ends with gc.freeze(): what the imports built lives until exit, so no garbage
-collection walks it again, not even the ones at exit.
+fixture that is missing, empty or lacks a required column.  Every error is
+one line on stderr that starts with ``Error: ``.  The parser is the standard
+library's argparse, built once at import, so no command loads a module from
+outside it.  Output is deterministic across runs and block-buffered while a
+command prints, even under PYTHONUNBUFFERED; the exit status never depends on
+the reader: one that closes the pipe early only ends the printing.  Importing
+this module ends with gc.freeze(): what the imports built lives until exit,
+so no garbage collection walks it again, not even the ones at exit.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from typing import Callable, Iterator, TextIO
-
-import click
+from functools import partial
+from typing import Callable, Iterator, NoReturn, Sequence, TextIO
 
 from . import __version__, catalog, reference, topology
 from .catalog import FORMS, component_text
@@ -43,12 +45,17 @@ MAX_CATALOG_ROWS = 1_000_000
 EXACT_COUNT_MAX_N = 1_000
 
 
+class UsageError(Exception):
+    """Bad input, or a request too large to serve: :func:`run` prints it as
+    one ``Error: `` line on stderr and returns 2."""
+
+
 def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None:
     """Reject a k that does not divide n, or a partition that does not sum to n."""
     if n < 1 or k < 1 or n % k != 0:
-        raise click.UsageError(f"k={k} must divide n={n}")
+        raise UsageError(f"k={k} must divide n={n}")
     if partition is not None and partition.n != n:
-        raise click.UsageError(f"partition {partition.run_length_str()} sums to {partition.n}, not n={n}")
+        raise UsageError(f"partition {partition.run_length_str()} sums to {partition.n}, not n={n}")
 
 
 def parse_partition(text: str) -> Partition:
@@ -65,9 +72,9 @@ def parse_partition(text: str) -> Partition:
             j = int(base)
             m = int(mult) if caret else 1
         except ValueError:
-            raise click.UsageError(f"malformed partition {text!r}") from None
+            raise UsageError(f"malformed partition {text!r}") from None
         if j < 1 or m < 1:
-            raise click.UsageError(f"malformed partition {text!r}")
+            raise UsageError(f"malformed partition {text!r}")
         runs[j] += m
     return Partition(sum(j * m for j, m in runs.items()), tuple(sorted(runs.items())))
 
@@ -85,7 +92,7 @@ def _stdout() -> Iterator[TextIO]:
     text before each write instead, and writes through again afterwards.
     What it prints, and when the command has printed it all, is unchanged.
     """
-    out = sys.stdout  # not click's stdout, which flushes at every newline and so writes each row on its own
+    out = sys.stdout
     write_through = getattr(out, "write_through", False)  # a TextIOWrapper's setting; StringIO has none
     if write_through:
         out.reconfigure(write_through=False)
@@ -101,101 +108,67 @@ def _stdout() -> Iterator[TextIO]:
             out.reconfigure(write_through=True)
 
 
-@click.group()
-@click.version_option(__version__)
-def main() -> None:
-    """Extended-quotient calculator for the tori of SL_n(C)/C_k and SU_n(C)/C_k."""
-
-
-@main.command()
-@click.option("--n", type=int, required=True, help="rank parameter n")
-@click.option("--k", type=int, default=1, show_default=True, help="divisor of n")
-@click.option("--form", type=click.Choice(["complex", "real"]), default="complex", show_default=True)
-@click.option("--partition", "partition_text", default=None, help="restrict to one partition of n")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="markdown", show_default=True)
-@click.pass_context
-def decompose(ctx: click.Context, n: int, k: int, form: str, partition_text: str | None, fmt: str) -> None:
-    """Print the component catalog of the (n, k) extended quotient."""
+def _decompose(n: int, k: int, form: str, partition_text: str | None, fmt: str) -> int:
     partition = parse_partition(partition_text) if partition_text is not None else None
     _check_arguments(n, k, partition)
     if partition is None:
         rows = catalog_rows(n, k) if n <= EXACT_COUNT_MAX_N else None
         if rows is None or rows > MAX_CATALOG_ROWS:
             amount = "more rows than" if rows is None else f"{rows:,} rows, more than"
-            click.echo(f"Error: the (n={n}, k={k}) catalog has {amount} the "
-                       f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition", err=True)
-            ctx.exit(2)
+            raise UsageError(f"the (n={n}, k={k}) catalog has {amount} the "
+                             f"{MAX_CATALOG_ROWS:,} a full catalog may print; use --partition")
     with _stdout() as out:
         catalog.write(out, form, n, k, fmt, partition)
+    return 0
 
 
-_SUMMARIES = (
-    ("betti", "Print the Betti vector b_0 .. b_D for (n, k).", lambda n, k: {"betti": list(betti(n, k).ranks)}),
-    ("ktheory", "Print the K0 and K1 ranks for (n, k).", lambda n, k: vars(ktheory_ranks(n, k))),
-    ("euler", "Print the Euler characteristic for (n, k).", lambda n, k: {"euler": euler_characteristic(n, k)}),
-)
+# The one-line commands: their descriptions, and the named values they print.
+_SUMMARIES = {
+    "betti": ("Print the Betti vector b_0 .. b_D for (n, k).", lambda n, k: {"betti": list(betti(n, k).ranks)}),
+    "ktheory": ("Print the K0 and K1 ranks for (n, k).", lambda n, k: ktheory_ranks(n, k)._asdict()),
+    "euler": ("Print the Euler characteristic for (n, k).", lambda n, k: {"euler": euler_characteristic(n, k)}),
+}
 
 
-def _summary_command(name: str, doc: str, values: Callable[[int, int], dict]) -> None:
-    """Register ``name``, a command that prints the named ``values(n, k)`` in one line."""
-    @main.command(name=name, help=doc)
-    @click.option("--n", type=int, required=True)
-    @click.option("--k", type=int, default=1, show_default=True)
-    @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-    def command(n: int, k: int, fmt: str) -> None:
-        _check_arguments(n, k)
-        named = values(n, k)
-        text = (json.dumps({"n": n, "k": k, **named}) if fmt == "json" else
-                " ".join(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in named.values()))
-        with _stdout() as out:
-            out.write(text + "\n")
+def _summary(values: Callable[[int, int], dict], n: int, k: int, fmt: str) -> int:
+    """Print the named ``values(n, k)`` in one line."""
+    _check_arguments(n, k)
+    named = values(n, k)
+    text = (json.dumps({"n": n, "k": k, **named}) if fmt == "json" else
+            " ".join(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in named.values()))
+    with _stdout() as out:
+        out.write(text + "\n")
+    return 0
 
 
-for _summary in _SUMMARIES:
-    _summary_command(*_summary)
-
-
-@main.command(name="table")
-@click.argument("kind", type=click.Choice(["betti", "ktheory"]))
-@click.option("--max-n", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True, help="row filter for betti tables")
-@click.option("--even-only", is_flag=True, default=False, help="restrict rows to even n")
-@click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv", show_default=True)
-def table_cmd(kind: str, max_n: int, k: int, even_only: bool, fmt: str) -> None:
-    """Emit a full table in the reference layout."""
+def _table(kind: str, max_n: int, k: int, even_only: bool, fmt: str) -> int:
     if max_n < 0 or k < 1:
-        raise click.UsageError("max-n must be nonnegative and k positive")
+        raise UsageError("max-n must be nonnegative and k positive")
     if kind == "betti":
         grid = topology.betti_grid(topology.betti_table(max_n, k, even_only=even_only))
     else:
         grid = topology.ktheory_grid(topology.ktheory_table(max_n))
     with _stdout() as out:
         out.writelines(grid_lines(grid, fmt))
+    return 0
 
 
-@main.command(name="duality")
-@click.option("--n", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-@click.pass_context
-def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
-    """Check Langlands duality for every divisor k of n."""
+def _duality(n: int, fmt: str) -> int:
     if n < 1:
-        raise click.UsageError("n must be positive")
+        raise UsageError("n must be positive")
     count = partition_count(n) if n <= EXACT_COUNT_MAX_N else None
     if count is None or count > MAX_CATALOG_ROWS:
         amount = "all" if count is None else f"all {count:,}"
-        click.echo(f"Error: duality for n={n} compares {amount} partitions of {n}, more than "
-                   f"the {MAX_CATALOG_ROWS:,} a check may walk", err=True)
-        ctx.exit(2)
+        raise UsageError(f"duality for n={n} compares {amount} partitions of {n}, more than "
+                         f"the {MAX_CATALOG_ROWS:,} a check may walk")
     reports = duality_reports(n)
-    failed = any(not report.ok for report in reports)
     with _stdout() as out:
         if fmt == "json":
             # json.dumps(payload, indent=2) of the list of every report,
             # written one report at a time.
             joint = "[\n"
             for report in reports:
-                text = json.dumps({**vars(report), "singularity_differences":
+                text = json.dumps({**report._asdict(), "singularity_differences":
                                    [str(p) for p in report.singularity_differences]}, indent=2)
                 out.write(joint + "  ")
                 out.write(text.replace("\n", "\n  "))
@@ -214,27 +187,15 @@ def duality_cmd(ctx: click.Context, n: int, fmt: str) -> None:
                     line += (" (singularity structure differs for: "
                              + ", ".join(map(str, report.singularity_differences)) + ")")
                 out.write(line + "\n")
-    if failed:
-        ctx.exit(1)
+    return 0 if all(report.ok for report in reports) else 1
 
 
-@main.command(name="verify")
-@click.argument("suite", type=click.Choice(["paper", "all"]))
-@click.option("--table", "tables", multiple=True, type=click.Choice(reference.TABLE_IDS),
-              help="restrict to specific reference tables")
-@click.option("--fixture-dir", type=click.Path(exists=True, file_okay=False), default=None,
-              help="read fixtures from an alternate directory")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text", show_default=True)
-@click.pass_context
-def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_dir: str | None,
-               fmt: str) -> None:
-    """Recompute reference tables (and, for suite=all, the property suites)."""
-    selected = tuple(dict.fromkeys(tables)) or reference.TABLE_IDS  # a repeated --table is verified once
+def _verify(suite: str, tables: list[str] | None, fixture_dir: str | None, fmt: str) -> int:
+    selected = tuple(dict.fromkeys(tables or ())) or reference.TABLE_IDS  # a repeated --table is verified once
     try:
         reports = [reference.verify(table_id, fixture_dir=fixture_dir) for table_id in selected]
     except reference.FixtureError as exc:
-        click.echo(f"Error: {exc}", err=True)
-        ctx.exit(2)
+        raise UsageError(str(exc)) from None
     if suite == "all":
         reports.extend(fn() for fn in reference.PROPERTY_SUITES.values())
     clean = all(report.ok for report in reports)
@@ -247,7 +208,7 @@ def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_
                     {
                         "table": report.table_id,
                         "cells_checked": report.cells_checked,
-                        "mismatches": [vars(m) for m in report.mismatches],
+                        "mismatches": [m._asdict() for m in report.mismatches],
                     }
                     for report in reports
                 ],
@@ -259,24 +220,15 @@ def verify_cmd(ctx: click.Context, suite: str, tables: tuple[str, ...], fixture_
                 for m in report.mismatches:
                     out.write(f"  {m.location}: expected {m.expected!r}, got {m.actual!r}\n")
             out.write("verification " + ("clean" if clean else "FAILED") + "\n")
-    if not clean:
-        ctx.exit(1)
+    return 0 if clean else 1
 
 
-@main.command(name="component")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, default=1, show_default=True)
-@click.option("--partition", "partition_text", required=True)
-@click.option("--omega-exponent", type=int, default=0, show_default=True)
-@click.option("--form", type=click.Choice(["complex", "real"]), default="complex", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text", show_default=True)
-def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form: str, fmt: str) -> None:
-    """Print a single component, selected by partition and omega exponent."""
+def _component(n: int, k: int, partition_text: str, omega_exponent: int, form: str, fmt: str) -> int:
     partition = parse_partition(partition_text)
     _check_arguments(n, k, partition)
     entries = partition_components(FORMS[form], partition, n, k)
     if not 0 <= omega_exponent < len(entries):
-        raise click.UsageError(f"omega exponent must lie in 0..{len(entries) - 1} for this partition")
+        raise UsageError(f"omega exponent must lie in 0..{len(entries) - 1} for this partition")
     entry = entries[omega_exponent]
     if fmt == "json":
         text = json.dumps(entry.to_dict(), indent=2)
@@ -284,7 +236,132 @@ def component_cmd(n: int, k: int, partition_text: str, omega_exponent: int, form
         text = component_text(entry, k)
     with _stdout() as out:
         out.write(text + "\n")
+    return 0
 
+
+def _directory(text: str) -> str:
+    """``--fixture-dir``: the name of a directory that exists."""
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a directory")
+    return text
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its errors as :class:`UsageError`, so
+    they print as every other error does, rather than printing its usage
+    and exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
+def _parser() -> _Parser:
+    """The parser of every command.  Its ``command`` default is the function
+    that runs the command, and its other values are that function's keyword
+    arguments.  Options are taken only in full, and help only as ``--help``;
+    it is laid out 80 columns wide on any terminal."""
+    settings = {"allow_abbrev": False, "add_help": False,
+                "formatter_class": partial(argparse.HelpFormatter, width=80)}
+    parser = _Parser(prog="extquot", description="Extended-quotient calculator for the tori of SL_n(C)/C_k "
+                     "and SU_n(C)/C_k.", **settings)
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, function: Callable[..., int], description: str, **defaults) -> _Parser:
+        sub = commands.add_parser(name, help=description, description=description, **settings)
+        sub.add_argument("--help", action="help", help="show this message and exit")
+        sub.set_defaults(command=function, **defaults)
+        return sub
+
+    def n_and_k(sub: _Parser) -> None:
+        sub.add_argument("--n", type=int, required=True, help="rank parameter n")
+        sub.add_argument("--k", type=int, default=1, help="divisor of n (default: %(default)s)")
+
+    def form(sub: _Parser) -> None:
+        sub.add_argument("--form", choices=tuple(FORMS), default="complex",
+                         help="SL_n(C)/C_k or SU_n(C)/C_k (default: %(default)s)")
+
+    def output(sub: _Parser, *formats: str) -> None:
+        """The ``--format`` option, whose default is the first of ``formats``."""
+        sub.add_argument("--format", dest="fmt", choices=formats, default=formats[0],
+                         help="output format (default: %(default)s)")
+
+    sub = command("decompose", _decompose, "Print the component catalog of the (n, k) extended quotient.")
+    n_and_k(sub)
+    form(sub)
+    sub.add_argument("--partition", dest="partition_text", metavar="PARTITION",
+                     help="restrict to one partition of n")
+    output(sub, "markdown", "json", "csv")
+    for name, (description, values) in _SUMMARIES.items():
+        sub = command(name, _summary, description, values=values)
+        n_and_k(sub)
+        output(sub, "text", "json")
+    sub = command("table", _table, "Emit a full table in the reference layout.")
+    sub.add_argument("kind", choices=("betti", "ktheory"))
+    sub.add_argument("--max-n", type=int, required=True, help="largest n of the table")
+    sub.add_argument("--k", type=int, default=1, help="row filter for betti tables (default: %(default)s)")
+    sub.add_argument("--even-only", action="store_true", help="restrict rows to even n")
+    output(sub, "csv", "markdown")
+    sub = command("duality", _duality, "Check Langlands duality for every divisor k of n.")
+    sub.add_argument("--n", type=int, required=True, help="rank parameter n")
+    output(sub, "text", "json")
+    sub = command("verify", _verify, "Recompute reference tables (and, for suite=all, the property suites).")
+    sub.add_argument("suite", choices=("paper", "all"))
+    sub.add_argument("--table", dest="tables", action="append", choices=reference.TABLE_IDS,
+                     help="restrict to specific reference tables")
+    sub.add_argument("--fixture-dir", type=_directory, metavar="DIRECTORY",
+                     help="read fixtures from an alternate directory")
+    output(sub, "text", "json")
+    sub = command("component", _component, "Print a single component, selected by partition and omega exponent.")
+    n_and_k(sub)
+    sub.add_argument("--partition", dest="partition_text", metavar="PARTITION", required=True,
+                     help="a partition of n")
+    sub.add_argument("--omega-exponent", type=int, default=0, help="which omega, from 0 (default: %(default)s)")
+    form(sub)
+    output(sub, "text", "json")
+    return parser
+
+
+_PARSER = _parser()
+
+
+def run(argv: Sequence[str]) -> int:
+    """Run the command ``argv`` names, the arguments after the program's
+    name, and return its exit status; ``--help`` and ``--version`` print and
+    return 0."""
+    try:
+        try:
+            options = vars(_PARSER.parse_args(argv))
+        except SystemExit as done:  # argparse exits only after --help or --version
+            return done.code
+        return options.pop("command")(**options)
+    except UsageError as exc:
+        sys.stderr.write(f"Error: {exc}\n")
+        return 2
+
+
+class _ConsoleScript:
+    """The ``extquot`` console script: ``main()`` runs the command of
+    ``sys.argv`` and exits with its status.
+
+    ``main.main(args=..., prog_name=...)`` runs ``args`` instead and raises
+    SystemExit with the status, as click's ``Command.main`` does, and
+    ``main.name`` names the program: the calls through which
+    ``click.testing.CliRunner`` and the benchmark's child process drive the
+    CLI.  Help texts name ``extquot`` whatever ``prog_name`` is.
+    """
+
+    name = "extquot"
+
+    def __call__(self) -> NoReturn:
+        self.main()
+
+    def main(self, args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
+        raise SystemExit(run(sys.argv[1:] if args is None else args))
+
+
+main = _ConsoleScript()
 
 # Everything imported by now lives until the process exits.
 gc.freeze()

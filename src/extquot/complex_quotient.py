@@ -21,29 +21,39 @@ this descriptor data is materialized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 from .numtheory import divisors, pillai, totient
 from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants, partition_count
 
 
-@dataclass(frozen=True)
 class OmegaLabel:
     """A root of unity omega = zeta_h^exponent in the cyclic group C_h.
 
     Here h = gcd(g(mu), k); every omega attached to a partition satisfies
     order | h.  Labels are kept distinct per exponent even though the
     component formulas only consume the order, so per-omega tables can be
-    reproduced exactly.
+    reproduced exactly.  A value: equal and hashed by ``(h, exponent)``.
     """
 
-    h: int
-    exponent: int
+    __slots__ = ("h", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.h < 1 or not 0 <= self.exponent < self.h:
-            raise ValueError(f"invalid omega label ({self.h}, {self.exponent})")
+    def __init__(self, h: int, exponent: int) -> None:
+        if h < 1 or not 0 <= exponent < h:
+            raise ValueError(f"invalid omega label ({h}, {exponent})")
+        self.h = h
+        self.exponent = exponent
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not OmegaLabel:
+            return NotImplemented
+        return self.h == other.h and self.exponent == other.exponent
+
+    def __hash__(self) -> int:
+        return hash((self.h, self.exponent))
+
+    def __repr__(self) -> str:
+        return f"OmegaLabel(h={self.h!r}, exponent={self.exponent!r})"
 
     @property
     def order(self) -> int:
@@ -56,27 +66,41 @@ class OmegaLabel:
         return self.exponent * (k // self.h)
 
 
-@dataclass(frozen=True)
 class CyclicSingularity:
     """The quotient A^ambient_dim / C_group_order for a diagonal action.
 
     ``weights`` lists, per coordinate, the power of the group generator's
     eigenvalue; entries are reduced modulo group_order and weight 0 (a
     coordinate with trivial action) is retained.  group_order == 1 means the
-    space is smooth affine space.
+    space is smooth affine space.  A value: equal and hashed by
+    ``(ambient_dim, group_order, weights)``.
     """
 
-    ambient_dim: int
-    group_order: int
-    weights: tuple[int, ...]
+    __slots__ = ("ambient_dim", "group_order", "weights")
 
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 0 or self.group_order < 1:
+    def __init__(self, ambient_dim: int, group_order: int, weights: tuple[int, ...]) -> None:
+        if ambient_dim < 0 or group_order < 1:
             raise ValueError("invalid singularity data")
-        if len(self.weights) != self.ambient_dim:
+        if len(weights) != ambient_dim:
             raise ValueError("one weight per ambient coordinate is required")
-        if any(not 0 <= w < self.group_order for w in self.weights):
+        if any(not 0 <= w < group_order for w in weights):
             raise ValueError("weights must be residues mod group_order")
+        self.ambient_dim = ambient_dim
+        self.group_order = group_order
+        self.weights = weights
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CyclicSingularity:
+            return NotImplemented
+        return (self.ambient_dim == other.ambient_dim and self.group_order == other.group_order
+                and self.weights == other.weights)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.group_order, self.weights))
+
+    def __repr__(self) -> str:
+        return (f"CyclicSingularity(ambient_dim={self.ambient_dim!r}, group_order={self.group_order!r}, "
+                f"weights={self.weights!r})")
 
     def to_dict(self) -> dict:
         return {
@@ -172,19 +196,39 @@ def _singularity(inv: PartitionInvariants, d: int) -> CyclicSingularity:
     return CyclicSingularity(inv.c - inv.b, d, weights)
 
 
-@dataclass(frozen=True)
 class Component:
     """What a component carries in either form: its stratum's label, base
-    torus dimension, cyclic singularity and number of discrete points."""
+    torus dimension, cyclic singularity and number of discrete points.  A
+    value: equal, within one class, and hashed by its fields, in the order
+    ``field_names`` lists them."""
 
+    __slots__ = ("partition", "omega", "torus_dim", "singularity", "multiplicity")
+    field_names: ClassVar[tuple[str, ...]] = __slots__
     # The fields whose values run_flags gives, in row order.
     flag_names: ClassVar[tuple[str, ...]] = ()
 
-    partition: Partition
-    omega: OmegaLabel
-    torus_dim: int
-    singularity: CyclicSingularity
-    multiplicity: int
+    def __init__(self, partition: Partition, omega: OmegaLabel, torus_dim: int, singularity: CyclicSingularity,
+                 multiplicity: int) -> None:
+        self.partition = partition
+        self.omega = omega
+        self.torus_dim = torus_dim
+        self.singularity = singularity
+        self.multiplicity = multiplicity
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.field_names)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.field_names, self._values()))
+        return f"{type(self).__name__}({fields})"
 
     @classmethod
     def from_stratum(cls, s: Stratum, mu: Partition) -> Component:
@@ -229,11 +273,11 @@ class Component:
         }
 
 
-@dataclass(frozen=True)
 class ComplexComponent(Component):
     """One stratum of the complex extended quotient: the torus times the
     singularity."""
 
+    __slots__ = ()
     form: ClassVar[str] = "complex"
 
 

@@ -23,35 +23,47 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .numtheory import divisors
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition of ``n``, stored as (part, multiplicity) runs.
 
     Runs are ordered by strictly increasing part size, multiplicities are
     positive, and sum(part * mult) == n.  The empty partition of 0 is allowed.
+    A value: equal and hashed by ``(n, runs)``, and never changed after
+    construction.
     """
 
-    n: int
-    runs: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "runs")
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, runs: tuple[tuple[int, int], ...]) -> None:
         total = 0
         prev = 0
-        for part, mult in self.runs:
+        for part, mult in runs:
             if part <= prev or mult < 1:
-                raise ValueError(f"invalid runs {self.runs!r}")
+                raise ValueError(f"invalid runs {runs!r}")
             total += part * mult
             prev = part
-        if total != self.n:
-            raise ValueError(f"runs {self.runs!r} do not sum to {self.n}")
+        if total != n:
+            raise ValueError(f"runs {runs!r} do not sum to {n}")
+        self.n = n
+        self.runs = runs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.n == other.n and self.runs == other.runs
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.runs))
+
+    def __repr__(self) -> str:
+        return f"Partition(n={self.n!r}, runs={self.runs!r})"
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "Partition":
@@ -73,8 +85,7 @@ class Partition:
         return ",".join(f"{p}^{m}" for p, m in self.runs) if self.runs else "0"
 
 
-@dataclass(frozen=True)
-class PartitionInvariants:
+class PartitionInvariants(NamedTuple):
     g: int
     m: int
     b: int

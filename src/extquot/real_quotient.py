@@ -17,14 +17,13 @@ the bundle itself is orientable (answered here for k = 1 only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
-from .complex_quotient import Component, Stratum
+from .complex_quotient import Component, CyclicSingularity, OmegaLabel, Stratum
 from .numtheory import two_adic_valuation
+from .partitions import Partition
 
 
-@dataclass(frozen=True)
 class RealComponent(Component):
     """One stratum of the real extended quotient.
 
@@ -32,12 +31,18 @@ class RealComponent(Component):
     bundle-orientability criterion applies.
     """
 
+    __slots__ = ("fiber_simplex_dims", "join_counts", "bundle_orientable")
+    field_names: ClassVar[tuple[str, ...]] = Component.field_names + __slots__
     form: ClassVar[str] = "real"
     flag_names: ClassVar[tuple[str, ...]] = ("bundle_orientable",)
 
-    fiber_simplex_dims: tuple[int, ...]
-    join_counts: tuple[int, ...]
-    bundle_orientable: bool | None = None
+    def __init__(self, partition: Partition, omega: OmegaLabel, torus_dim: int, singularity: CyclicSingularity,
+                 multiplicity: int, fiber_simplex_dims: tuple[int, ...], join_counts: tuple[int, ...],
+                 bundle_orientable: bool | None = None) -> None:
+        super().__init__(partition, omega, torus_dim, singularity, multiplicity)
+        self.fiber_simplex_dims = fiber_simplex_dims
+        self.join_counts = join_counts
+        self.bundle_orientable = bundle_orientable
 
     @classmethod
     def run_items(cls, d: int, part: int, mult: int) -> dict[str, tuple[int, ...]]:

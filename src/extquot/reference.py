@@ -21,8 +21,8 @@ import io
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import catalog
 from .complex_quotient import CyclicSingularity, canonical_singularity, component_count_from_gcd
@@ -68,18 +68,35 @@ class FixtureError(ValueError):
     repeats or adds a key."""
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     location: str
     expected: str
     actual: str
 
 
-@dataclass
 class DiffReport:
-    table_id: str
-    cells_checked: int = 0
-    mismatches: list[Mismatch] = field(default_factory=list)
+    """The cells of one table or property suite that were compared, and the
+    mismatches among them.  Equal by its fields; unhashable, since checking
+    cells changes it."""
+
+    __slots__ = ("table_id", "cells_checked", "mismatches")
+
+    def __init__(self, table_id: str, cells_checked: int = 0, mismatches: list[Mismatch] | None = None) -> None:
+        self.table_id = table_id
+        self.cells_checked = cells_checked
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DiffReport:
+            return NotImplemented
+        return (self.table_id, self.cells_checked, self.mismatches) == (
+            other.table_id, other.cells_checked, other.mismatches)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"DiffReport(table_id={self.table_id!r}, cells_checked={self.cells_checked!r}, "
+                f"mismatches={self.mismatches!r})")
 
     def check(self, location: str, expected, actual) -> bool:
         """Count one compared cell; record a mismatch and return False when

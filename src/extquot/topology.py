@@ -21,8 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complex_quotient import (
     CyclicSingularity,
@@ -36,8 +35,7 @@ from .numtheory import divisors
 from .partitions import Partition, by_class, gcd_distinct_counts, invariants, partitions_pairs
 
 
-@dataclass(frozen=True)
-class BettiVector:
+class BettiVector(NamedTuple):
     """Graded complex-cohomology ranks b_0..b_D for the (n, k) quotient."""
 
     n: int
@@ -49,8 +47,7 @@ class BettiVector:
         return len(self.ranks) - 1
 
 
-@dataclass(frozen=True)
-class KTheoryRanks:
+class KTheoryRanks(NamedTuple):
     k0: int
     k1: int
 
@@ -103,8 +100,7 @@ def top_betti(n: int) -> tuple[int, int]:
     return b - 1, partitions_pairs(r)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """The comparison of the (n, k) and (n, n/k) quotients: whether their Betti
     vectors agree, whether every invariant class of partitions of n has as many
     components and the same torus dimensions on both sides, and the partitions

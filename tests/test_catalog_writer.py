@@ -244,12 +244,12 @@ def test_catalog_classifies_once_per_class(monkeypatch):
         calls.append(mu)
         return invariants(mu)
 
-    def validated(mu, check=Partition.__post_init__):
+    def validated(mu, n, runs, init=Partition.__init__):
         built.append(mu)
-        check(mu)
+        init(mu, n, runs)
 
     monkeypatch.setattr(catalog, "invariants", counted)
-    monkeypatch.setattr(Partition, "__post_init__", validated)
+    monkeypatch.setattr(Partition, "__init__", validated)
     runner = CliRunner()
     for form in FORMS:
         calls.clear()
@@ -390,7 +390,7 @@ def test_write_through_stdout_is_batched_while_a_catalog_prints(monkeypatch):
     recorder = _RawRecorder()
     stdout = io.TextIOWrapper(recorder, encoding="utf-8", write_through=True)
     monkeypatch.setattr(sys, "stdout", stdout)
-    main.main(args=["decompose", "--n", "30", "--k", "2", "--format", "json"], standalone_mode=False)
+    assert cli.run(["decompose", "--n", "30", "--k", "2", "--format", "json"]) == 0
     held = _held_rendering(30, 2, "complex", decompose(ComplexComponent, 30, 2), "json").encode()
     assert recorder.data == held
     assert recorder.writes <= len(held) // 7168 + 4, recorder.writes
@@ -409,7 +409,7 @@ def test_write_through_stdout_gets_one_write_per_short_command(monkeypatch, args
     recorder = _RawRecorder()
     stdout = io.TextIOWrapper(recorder, encoding="utf-8", write_through=True)
     monkeypatch.setattr(sys, "stdout", stdout)
-    main.main(args=args, standalone_mode=False)
+    assert cli.run(args) == 0
     assert recorder.writes == 1
     assert 0 < len(recorder.data) < 8192
     assert stdout.write_through
@@ -436,8 +436,9 @@ def test_full_catalog_streams_in_flat_memory(monkeypatch):
     stdout = io.TextIOWrapper(io.BufferedWriter(hasher), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", stdout)
     args = ["decompose", "--n", "40", "--k", "4", "--format", "json"]
-    _, peak = _traced(lambda: main.main(args=args, standalone_mode=False))
+    code, peak = _traced(lambda: cli.run(args))
     stdout.flush()
+    assert code == 0
     assert hasher.sha256.hexdigest() == PINNED[("--n", "40", "--k", "4", "--format", "json")]
     assert peak < STREAMED_PEAK_BOUND, peak
 
@@ -452,7 +453,8 @@ def test_duality_json_is_written_report_by_report(monkeypatch):
     counter = _ByteCounter()
     stdout = io.TextIOWrapper(io.BufferedWriter(counter), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", stdout)
-    _, peak = _traced(lambda: main.main(args=["duality", "--n", "40", "--format", "json"], standalone_mode=False))
+    code, peak = _traced(lambda: cli.run(["duality", "--n", "40", "--format", "json"]))
     stdout.flush()
+    assert code == 0
     assert counter.count == 116_773
     assert peak < 400_000, peak

@@ -32,10 +32,8 @@ def test_parse_partition_syntaxes():
 
 
 def test_parse_partition_rejects_garbage():
-    import click
-
     for text in ("", "1++2", "a+b", "0", "2^0", "2^", "2^,4"):
-        with pytest.raises(click.UsageError):
+        with pytest.raises(cli.UsageError):
             parse_partition(text)
 
 
@@ -257,6 +255,112 @@ def test_commands_do_not_freeze_again(runner):
     for _ in range(2):
         assert runner.invoke(main, ["betti", "--n", "6"]).exit_code == 0
     assert gc.get_freeze_count() == frozen
+
+
+def test_import_loads_only_the_standard_library():
+    """Importing ``extquot.cli`` in a fresh interpreter loads no module from
+    outside the standard library and the package: not click, and neither
+    ``dataclasses`` nor the ``inspect`` it brings."""
+    env = dict(os.environ, PYTHONPATH=str(Path(extquot.__file__).parents[1]))
+    code = ("import sys; before = set(sys.modules); import extquot.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.decode().split()
+    assert "extquot.cli" in loaded
+    assert not {"click", "dataclasses", "inspect"} & set(loaded), loaded
+    outside = [name for name in loaded
+               if name.partition(".")[0] not in {*sys.stdlib_module_names, "extquot"}]
+    assert outside == []
+
+
+def test_main_exits_with_the_status_of_the_command(tmp_path, capsys):
+    """``main.main(args=..., prog_name=...)``, as the benchmark's child
+    process calls it, raises SystemExit with 0 for a clean run, 1 for a
+    verification mismatch and 2 for a usage error, and ``main.name`` names
+    the program."""
+    path = _fixture_copy(tmp_path) / "ktheory.csv"
+    path.write_text(path.read_text().replace("609/569", "609/570"))
+    mismatch = ["verify", "paper", "--table", "ktheory", "--fixture-dir", str(tmp_path)]
+    for args, status in ((["betti", "--n", "6"], 0), (mismatch, 1), (["betti", "--n", "6", "--k", "4"], 2)):
+        with pytest.raises(SystemExit) as exited:
+            main.main(args=args, prog_name="extquot")
+        assert exited.value.code == status, args
+    assert capsys.readouterr().err == "Error: k=4 must divide n=6\n"
+    assert main.name == "extquot"
+
+
+# Bad inputs the program itself rejects, each with its whole stderr, which
+# is as it was when click parsed the arguments.
+REFUSED = [
+    (["betti", "--n", "6", "--k", "4"], "k=4 must divide n=6"),
+    (["decompose", "--n", "6", "--k", "4"], "k=4 must divide n=6"),
+    (["decompose", "--n", "4", "--partition", ""], "malformed partition ''"),
+    (["decompose", "--n", "6", "--k", "2", "--partition", "nonsense"], "malformed partition 'nonsense'"),
+    (["decompose", "--n", "6", "--k", "2", "--partition", "1+1"], "partition 1^2 sums to 2, not n=6"),
+    (["decompose", "--n", "100", "--k", "4"],
+     "the (n=100, k=4) catalog has 190,777,434 rows, more than the 1,000,000 a full catalog may print; "
+     "use --partition"),
+    (["decompose", "--n", "1000000"],
+     "the (n=1000000, k=1) catalog has more rows than the 1,000,000 a full catalog may print; use --partition"),
+    (["duality", "--n", "61"],
+     "duality for n=61 compares all 1,121,505 partitions of 61, more than the 1,000,000 a check may walk"),
+    (["duality", "--n", "1000000"],
+     "duality for n=1000000 compares all partitions of 1000000, more than the 1,000,000 a check may walk"),
+    (["duality", "--n", "0"], "n must be positive"),
+    (["table", "betti", "--max-n", "-1"], "max-n must be nonnegative and k positive"),
+    (["component", "--n", "6", "--partition", "1+1+2+2", "--omega-exponent", "5"],
+     "omega exponent must lie in 0..0 for this partition"),
+    (["component", "--n", "6", "--k", "2", "--partition", "2+2+2", "--omega-exponent", "-1"],
+     "omega exponent must lie in 0..1 for this partition"),
+]
+# Bad inputs the parser rejects, each with a word its message must name.
+MISPARSED = [
+    ([], "COMMAND"),
+    (["frobnicate"], "'frobnicate'"),
+    (["betti"], "--n"),
+    (["betti", "--n"], "--n"),
+    (["betti", "--n", "x"], "'x'"),
+    (["betti", "--n", "6", "--format", "xml"], "'xml'"),
+    (["betti", "--n", "6", "--bogus", "1"], "--bogus"),
+    (["betti", "--n", "6", "extra"], "extra"),
+    (["table", "chern", "--max-n", "4"], "'chern'"),
+    (["table", "betti"], "--max-n"),
+    (["decompose", "--n", "6", "--form", "quaternionic"], "'quaternionic'"),
+    (["component", "--n", "6"], "--partition"),
+    (["verify", "everything"], "'everything'"),
+    (["verify", "paper", "--table", "nope"], "'nope'"),
+    (["verify", "paper", "--fixture-dir"], "--fixture-dir"),
+    (["verify", "paper", "--fixture-dir", "no/such/dir"], "'no/such/dir'"),
+]
+
+
+def _ids(cases):
+    return [" ".join(args) or "no arguments" for args, _ in cases]
+
+
+@pytest.mark.parametrize("args, message", REFUSED, ids=_ids(REFUSED))
+def test_refused_input_prints_its_message_alone(capsys, no_enumeration, args, message):
+    assert cli.run(args) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"Error: {message}\n")
+
+
+def test_missing_fixture_prints_its_message_alone(capsys, tmp_path):
+    assert cli.run(["verify", "paper", "--fixture-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"Error: reference table betti_k1 ({tmp_path / 'betti_k1.csv'}): no such file\n"
+
+
+@pytest.mark.parametrize("args, word", MISPARSED, ids=_ids(MISPARSED))
+def test_misparsed_input_prints_one_error_line(capsys, args, word):
+    assert cli.run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Error: ") and captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert word in captured.err
 
 
 def test_verify_fast_tables(runner):

@@ -10,8 +10,9 @@ was captured before the verifier counted its cells through one check, and
 pins every table's cell count.  The two ``component`` lines for n = 6,
 k = 1 were captured before the text line was built from the markdown
 fields, which at k = 1 include one the line leaves out.  The ``betti``,
-``ktheory`` and ``euler`` lines and help texts were captured while each
-command had its own body.  They are
+``ktheory`` and ``euler`` lines were captured while each command had its
+own body, and their help texts again when argparse replaced click as the
+parser, which lays help out in its own way.  They are
 regression snapshots, not reference data: the transcribed ground truth lives
 in ``src/extquot/data``.  Replace a snapshot only with a change that means to
 alter that output.

@@ -218,13 +218,13 @@ def test_duality_reports_work_once_per_class(monkeypatch):
         layered.append((inv, k))
         return strata(inv, n, k)
 
-    def validated(mu, check=Partition.__post_init__):
+    def validated(mu, n, runs, init=Partition.__init__):
         built.append(mu)
-        check(mu)
+        init(mu, n, runs)
 
     monkeypatch.setattr(topology, "invariants", counted_invariants)
     monkeypatch.setattr(topology, "strata", counted_strata)
-    monkeypatch.setattr(Partition, "__post_init__", validated)
+    monkeypatch.setattr(Partition, "__init__", validated)
     reports = duality_reports(20)
     flagged = {mu for report in reports for mu in report.singularity_differences}
     assert len(classified) == len({invariants(mu) for mu in classified}) == 177
