@@ -1,14 +1,14 @@
 """The catalog writer behind ``decompose``: JSON, CSV or markdown, written
 row by row as it is produced.
 
-Only a row's run-order cells depend on more than its stratum's shape (g,
-omega, torus_dim, singularity, multiplicity).  So the rows come from one walk
-over the runs of the partitions of n (:func:`~extquot.partitions.by_class`):
-the first partition of each invariant class is the only one built as a
-Partition, with its invariants and strata, and each new shape is rendered
-once as a text template with a gap for each run-order cell.  Every partition
-fills the gaps from the rendered text of its runs, so memory grows with the
-shapes, the distinct runs and the class keys, not with rows.
+Only a row's run-order cells depend on more than its stratum's shape, a flat
+tuple of integers (``row_shape``).  So the rows come from one walk over the
+runs of the partitions of n (:func:`~extquot.partitions.by_class`): the first
+partition of each invariant class is the only one built as a Partition, with
+its invariants and strata, and each new shape gets an integer id and is
+rendered once as a text template with a gap for each run-order cell.  Every
+partition fills the gaps from the rendered text of its runs, so memory grows
+with the shapes, the distinct runs and the class keys, not with rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Callable, Hashable, TextIO
 
-from .complex_quotient import ComplexComponent, strata
+from .complex_quotient import ComplexComponent, row_shape, strata
 from .partitions import Partition, by_class, invariants
 from .real_quotient import RealComponent
 from .topology import grid_line, grid_lines
@@ -158,24 +158,25 @@ def write(out: TextIO, form: str, n: int, k: int, fmt: str, partition: Partition
     (``component_type.run_fields``).  The gap of a field ``run_items`` lists
     is joined from the fragments of the runs, each rendered once per fibre
     order d; the gap of a ``run_flags`` field is its cell, rendered once per
-    value, by ``run_flags`` of the first stratum of the row's shape, which
-    reads only g and k.  Templates and fragments live for one call.
+    value, by ``run_flags`` of the row's part-gcd g and k.  Rows are kept by
+    the integer id of their shape (``row_shape``), and only a new shape is
+    built as a component: one call keeps only text, fragments and integers.
     """
     component_type = FORMS[form]
     fields, cell = _FORMATS[fmt]
     separators = gaps = fragments = flags = flag_cells = None  # laid out by the first class
-    templates, shared = {}, {}  # rows by shape, and tuples of rows by the shapes of a class
+    ids_of, rows_of, shared = {}, [], {}  # id by shape, row by id, and rows by the ids of a class
     pending = None  # the flags of each row of the partition first() was called on, read from its fields
 
     def first(mu: Partition) -> tuple:
-        """Per row of the class of mu: the template, its shape's first stratum and the run fragments."""
+        """Per row of the class of mu: the template, the run fragments and the part-gcd g."""
         nonlocal separators, gaps, fragments, flags, flag_cells, pending
         layers = strata(invariants(mu), n, k)
-        shapes = tuple((s.invariants.g, s.omega, s.torus_dim, s.singularity, s.multiplicity) for s in layers)
-        if shapes in shared:
-            return shared[shapes]
-        new = [(shape, s) for shape, s in zip(shapes, layers) if shape not in templates]
-        named = [fields(component_type.from_stratum(s, mu), k) for _, s in new]
+        ids = tuple(ids_of.setdefault(row_shape(s), len(ids_of)) for s in layers)
+        if ids in shared:
+            return shared[ids]
+        new = [s for i, s in zip(ids, layers) if i >= len(rows_of)]
+        named = [fields(component_type.from_stratum(s, mu), k) for s in new]
         if flags is None:
             names = [name for name, _ in named[0]]
             if fmt != "json":
@@ -191,11 +192,11 @@ def write(out: TextIO, form: str, n: int, k: int, fmt: str, partition: Partition
             flag_cells = [(cell(name, False), cell(name, True)) for name in flags]  # indexed by value
         if flags and len(new) == len(layers):  # else the walk reads them all from run_flags
             pending = [[value for name, value in row if name in flags] for row in named]
-        for (shape, s), row in zip(new, named):
-            templates[shape] = (_row_text([gaps[name] if name in gaps else _escaped(cell(name, value))
-                                           for name, value in row], fmt), s, fragments[s.d])
-        shared[shapes] = tuple(templates[shape] for shape in shapes)
-        return shared[shapes]
+        rows_of.extend((_row_text([gaps[name] if name in gaps else _escaped(cell(name, value))
+                                   for name, value in row], fmt), fragments[s.d], s.invariants.g)
+                       for s, row in zip(new, named))
+        shared[ids] = tuple(map(rows_of.__getitem__, ids))
+        return shared[ids]
 
     if fmt == "json":
         out.write(f'{{\n  "n": {n},\n  "k": {k},\n  "form": "{form}",\n  "entries": [\n')
@@ -203,8 +204,8 @@ def write(out: TextIO, form: str, n: int, k: int, fmt: str, partition: Partition
     flag_values = repeat(())  # per row
     for runs, rows in [(partition.runs, first(partition))] if partition else by_class(n, first):
         if flags:  # the walk calls first() on a class's first partition just before it yields that partition
-            flag_values, pending = pending or [component_type.run_flags(s, runs) for _, s, _ in rows], None
-        for (template, _, texts), values in zip(rows, flag_values):
+            flag_values, pending = pending or [component_type.run_flags(g, k, runs) for _, _, g in rows], None
+        for (template, texts, _), values in zip(rows, flag_values):
             # The gaps stand in row order, and every format puts flags after listed fields.
             out.write(joint + template % (*map(str.join, separators, zip(*[texts[run] for run in runs])),
                                           *map(tuple.__getitem__, flag_cells, values)))

@@ -51,8 +51,10 @@ class UsageError(Exception):
 
 
 def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None:
-    """Reject a k that does not divide n, or a partition that does not sum to n."""
-    if n < 1 or k < 1 or n % k != 0:
+    """Reject an n or k below 1, a k that does not divide n, or a partition that does not sum to n."""
+    if n < 1 or k < 1:
+        raise UsageError(f"{'n' if n < 1 else 'k'} must be positive")
+    if n % k != 0:
         raise UsageError(f"k={k} must divide n={n}")
     if partition is not None and partition.n != n:
         raise UsageError(f"partition {partition.run_length_str()} sums to {partition.n}, not n={n}")
@@ -255,18 +257,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parser() -> _Parser:
+def _parser(required: bool = True) -> _Parser:
     """The parser of every command.  Its ``command`` default is the function
     that runs the command, and its other values are that function's keyword
     arguments.  Options are taken only in full, and help only as ``--help``;
-    it is laid out 80 columns wide on any terminal."""
+    it is laid out 80 columns wide on any terminal.  Unless ``required``, no argument is."""
     settings = {"allow_abbrev": False, "add_help": False,
                 "formatter_class": partial(argparse.HelpFormatter, width=80)}
     parser = _Parser(prog="extquot", description="Extended-quotient calculator for the tori of SL_n(C)/C_k "
                      "and SU_n(C)/C_k.", **settings)
     parser.add_argument("--help", action="help", help="show this message and exit")
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    commands = parser.add_subparsers(metavar="COMMAND", required=required)
 
     def command(name: str, function: Callable[..., int], description: str, **defaults) -> _Parser:
         sub = commands.add_parser(name, help=description, description=description, **settings)
@@ -275,7 +277,7 @@ def _parser() -> _Parser:
         return sub
 
     def n_and_k(sub: _Parser) -> None:
-        sub.add_argument("--n", type=int, required=True, help="rank parameter n")
+        sub.add_argument("--n", type=int, required=required, help="rank parameter n")
         sub.add_argument("--k", type=int, default=1, help="divisor of n (default: %(default)s)")
 
     def form(sub: _Parser) -> None:
@@ -298,16 +300,16 @@ def _parser() -> _Parser:
         n_and_k(sub)
         output(sub, "text", "json")
     sub = command("table", _table, "Emit a full table in the reference layout.")
-    sub.add_argument("kind", choices=("betti", "ktheory"))
-    sub.add_argument("--max-n", type=int, required=True, help="largest n of the table")
+    sub.add_argument("kind", nargs=None if required else "?", choices=("betti", "ktheory"))
+    sub.add_argument("--max-n", type=int, required=required, help="largest n of the table")
     sub.add_argument("--k", type=int, default=1, help="row filter for betti tables (default: %(default)s)")
     sub.add_argument("--even-only", action="store_true", help="restrict rows to even n")
     output(sub, "csv", "markdown")
     sub = command("duality", _duality, "Check Langlands duality for every divisor k of n.")
-    sub.add_argument("--n", type=int, required=True, help="rank parameter n")
+    sub.add_argument("--n", type=int, required=required, help="rank parameter n")
     output(sub, "text", "json")
     sub = command("verify", _verify, "Recompute reference tables (and, for suite=all, the property suites).")
-    sub.add_argument("suite", choices=("paper", "all"))
+    sub.add_argument("suite", nargs=None if required else "?", choices=("paper", "all"))
     sub.add_argument("--table", dest="tables", action="append", choices=reference.TABLE_IDS,
                      help="restrict to specific reference tables")
     sub.add_argument("--fixture-dir", type=_directory, metavar="DIRECTORY",
@@ -315,7 +317,7 @@ def _parser() -> _Parser:
     output(sub, "text", "json")
     sub = command("component", _component, "Print a single component, selected by partition and omega exponent.")
     n_and_k(sub)
-    sub.add_argument("--partition", dest="partition_text", metavar="PARTITION", required=True,
+    sub.add_argument("--partition", dest="partition_text", metavar="PARTITION", required=required,
                      help="a partition of n")
     sub.add_argument("--omega-exponent", type=int, default=0, help="which omega, from 0 (default: %(default)s)")
     form(sub)
@@ -335,6 +337,13 @@ def run(argv: Sequence[str]) -> int:
             options = vars(_PARSER.parse_args(argv))
         except SystemExit as done:  # argparse exits only after --help or --version
             return done.code
+        except UsageError as error:
+            # argparse reports a missing argument before an unknown option; name the option.
+            if str(error).startswith("the following arguments are required"):
+                unknown = [arg for arg in _parser(required=False).parse_known_args(argv)[1] if arg.startswith("-")]
+                if unknown:
+                    raise UsageError(f"unrecognized arguments: {' '.join(unknown)}") from None
+            raise
         return options.pop("command")(**options)
     except UsageError as exc:
         sys.stderr.write(f"Error: {exc}\n")

@@ -21,7 +21,7 @@ this descriptor data is materialized.
 from __future__ import annotations
 
 import math
-from typing import ClassVar, NamedTuple
+from typing import ClassVar, Iterator, NamedTuple
 
 from .numtheory import divisors, pillai, totient
 from .partitions import Partition, PartitionInvariants, enumerate_partitions, invariants, partition_count
@@ -184,16 +184,25 @@ def catalog_rows(n: int, k: int) -> int:
     return sum(totient(e) * partition_count(n // e) for e in divisors(k))
 
 
-def _singularity(inv: PartitionInvariants, d: int) -> CyclicSingularity:
-    """The cyclic singularity A^(c-b) / C_d of a partition with invariants inv.
+def _weights(inv: PartitionInvariants, d: int) -> Iterator[int]:
+    """The weights of A^(c-b) / C_d: the generator multiplies p_l coordinates by its
+    l-th power, so level l is listed p_l times, by increasing l, reduced mod d."""
+    return (l % d for l, p_l in enumerate(inv.p, start=1) for _ in range(p_l))
 
-    The generator multiplies p_l coordinates by its l-th power; weights are
-    listed by increasing l and reduced mod d.
-    """
+
+def _singularity(inv: PartitionInvariants, d: int) -> CyclicSingularity:
+    """The cyclic singularity A^(c-b) / C_d of a partition with invariants inv."""
     if d < 1:
         raise ValueError("group order must be positive")
-    weights = tuple(l % d for l, p_l in enumerate(inv.p, start=1) for _ in range(p_l))
-    return CyclicSingularity(inv.c - inv.b, d, weights)
+    return CyclicSingularity(inv.c - inv.b, d, tuple(_weights(inv, d)))
+
+
+def row_shape(s: Stratum) -> tuple[int, ...]:
+    """What a row of the stratum ``s`` reads apart from its partition's runs, with no
+    singularity built: (g, h, exponent, torus_dim, multiplicity, c - b, d, *weights)."""
+    inv = s.invariants
+    return (inv.g, s.omega.h, s.omega.exponent, s.torus_dim, s.multiplicity, inv.c - inv.b, s.d,
+            *_weights(inv, s.d))
 
 
 class Component:
@@ -247,7 +256,7 @@ class Component:
         for part, mult in mu.runs:
             for name, items in cls.run_items(s.d, part, mult).items():
                 fields[name] = fields.get(name, ()) + items
-        return {**fields, "partition": mu, **dict(zip(cls.flag_names, cls.run_flags(s, mu.runs)))}
+        return {**fields, "partition": mu, **dict(zip(cls.flag_names, cls.run_flags(s.invariants.g, s.k, mu.runs)))}
 
     @classmethod
     def run_items(cls, d: int, part: int, mult: int) -> dict[str, tuple[int, ...]]:
@@ -257,9 +266,9 @@ class Component:
         return {"partition": (part,) * mult}
 
     @classmethod
-    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> tuple[bool, ...]:
+    def run_flags(cls, g: int, k: int, runs: tuple[tuple[int, int], ...]) -> tuple[bool, ...]:
         """The values of the fields ``flag_names``, which read all the runs ``runs``
-        together, of the component of the stratum ``s``; none if it has none."""
+        together, in the (n, k) quotient for a partition of part-gcd g; none if it has none."""
         return ()
 
     def to_dict(self) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from .complex_quotient import Component, CyclicSingularity, OmegaLabel, Stratum
+from .complex_quotient import Component, CyclicSingularity, OmegaLabel
 from .numtheory import two_adic_valuation
 from .partitions import Partition
 
@@ -52,10 +52,10 @@ class RealComponent(Component):
                 "join_counts": (mult // d,)}
 
     @classmethod
-    def run_flags(cls, s: Stratum, runs: tuple[tuple[int, int], ...]) -> tuple[bool, ...]:
+    def run_flags(cls, g: int, k: int, runs: tuple[tuple[int, int], ...]) -> tuple[bool, ...]:
         """At k = 1, the bundle orientability, which pairs each part with its
         multiplicity."""
-        return (orientable_k1(s.invariants.g, runs),) if s.k == 1 else ()
+        return (orientable_k1(g, runs),) if k == 1 else ()
 
     @property
     def cyclic_order(self) -> int:

@@ -30,7 +30,7 @@ import extquot
 from conftest import _catalog_csv_rows, _catalog_grid, catalog_json_dict, grid_text
 from extquot import catalog, cli, real_quotient
 from extquot.cli import FORMS, main, parse_partition
-from extquot.complex_quotient import ComplexComponent, decompose, partition_components, strata
+from extquot.complex_quotient import ComplexComponent, CyclicSingularity, decompose, partition_components, strata
 from extquot.numtheory import divisors
 from extquot.partitions import Partition, classified_partitions, invariants, partition_count
 from extquot.real_quotient import orientable_k1
@@ -424,14 +424,14 @@ def _traced(run):
         tracemalloc.stop()
 
 
-STREAMED_PEAK_BOUND = 2_000_000  # bytes
+STREAMED_PEAK_BOUND = 1_200_000  # bytes
 
 
 def test_full_catalog_streams_in_flat_memory(monkeypatch):
     """The (40, 4) complex JSON catalog, 18 MB of stdout, is written with a
-    traced peak under 2 MB, and its bytes hash to the pinned digest: the
+    traced peak under 1.2 MB, and its bytes hash to the pinned digest: the
     writer keeps a template per row shape (565), not per row (38,049) or
-    per class's row (2,180)."""
+    per class's row (2,180), and keeps no stratum, omega or singularity."""
     hasher = _ByteHasher()
     stdout = io.TextIOWrapper(io.BufferedWriter(hasher), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", stdout)
@@ -441,6 +441,36 @@ def test_full_catalog_streams_in_flat_memory(monkeypatch):
     assert code == 0
     assert hasher.sha256.hexdigest() == PINNED[("--n", "40", "--k", "4", "--format", "json")]
     assert peak < STREAMED_PEAK_BOUND, peak
+
+
+def test_real_k1_catalog_streams_in_flat_memory(monkeypatch):
+    """The real (40, 1) CSV catalog, one row per partition of 40, is written
+    with a traced peak under 0.65 MB, and its bytes hash to the pinned
+    digest: 254 row shapes are kept as text and integers."""
+    hasher = _ByteHasher()
+    stdout = io.TextIOWrapper(io.BufferedWriter(hasher), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    args = ["decompose", "--n", "40", "--k", "1", "--form", "real", "--format", "csv"]
+    code, peak = _traced(lambda: cli.run(args))
+    stdout.flush()
+    assert code == 0
+    assert hasher.sha256.hexdigest() == PINNED[tuple(args[1:])]
+    assert peak < 650_000, peak
+
+
+def test_catalog_builds_one_singularity_per_row_shape(monkeypatch):
+    """Writing the (40, 4) catalog builds a CyclicSingularity only for a
+    row shape not seen before: 565 for the 2,180 strata of its 1,949
+    classes, not one per stratum to look up its shape."""
+    built = []
+
+    def counted(self, ambient_dim, group_order, weights, init=CyclicSingularity.__init__):
+        built.append(weights)
+        init(self, ambient_dim, group_order, weights)
+
+    monkeypatch.setattr(CyclicSingularity, "__init__", counted)
+    catalog.write(io.TextIOWrapper(io.BufferedWriter(_ByteCounter()), encoding="utf-8"), "complex", 40, 4, "json")
+    assert len(built) == 565
 
 
 def test_duality_json_is_written_report_by_report(monkeypatch):

@@ -294,6 +294,9 @@ def test_main_exits_with_the_status_of_the_command(tmp_path, capsys):
 # is as it was when click parsed the arguments.
 REFUSED = [
     (["betti", "--n", "6", "--k", "4"], "k=4 must divide n=6"),
+    (["betti", "--n", "0"], "n must be positive"),
+    (["decompose", "--n", "-3"], "n must be positive"),
+    (["betti", "--n", "6", "--k", "-2"], "k must be positive"),
     (["decompose", "--n", "6", "--k", "4"], "k=4 must divide n=6"),
     (["decompose", "--n", "4", "--partition", ""], "malformed partition ''"),
     (["decompose", "--n", "6", "--k", "2", "--partition", "nonsense"], "malformed partition 'nonsense'"),
@@ -317,6 +320,8 @@ REFUSED = [
 # Bad inputs the parser rejects, each with a word its message must name.
 MISPARSED = [
     ([], "COMMAND"),
+    (["--bogus"], "--bogus"),
+    (["betti", "-h"], "-h"),
     (["frobnicate"], "'frobnicate'"),
     (["betti"], "--n"),
     (["betti", "--n"], "--n"),
