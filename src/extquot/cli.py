@@ -29,7 +29,7 @@ from typing import Callable, Iterator, NoReturn, Sequence, TextIO
 
 from . import __version__, catalog, reference, topology
 from .catalog import FORMS, component_text
-from .complex_quotient import catalog_rows, partition_components
+from .complex_quotient import _require_divides, catalog_rows, partition_components
 from .partitions import Partition, partition_count
 from .topology import betti, duality_reports, euler_characteristic, grid_lines, ktheory_ranks
 
@@ -52,10 +52,10 @@ class UsageError(Exception):
 
 def _check_arguments(n: int, k: int, partition: Partition | None = None) -> None:
     """Reject an n or k below 1, a k that does not divide n, or a partition that does not sum to n."""
-    if n < 1 or k < 1:
-        raise UsageError(f"{'n' if n < 1 else 'k'} must be positive")
-    if n % k != 0:
-        raise UsageError(f"k={k} must divide n={n}")
+    try:
+        _require_divides(k, n)
+    except ValueError as error:
+        raise UsageError(str(error)) from None
     if partition is not None and partition.n != n:
         raise UsageError(f"partition {partition.run_length_str()} sums to {partition.n}, not n={n}")
 

@@ -130,7 +130,9 @@ class Stratum(NamedTuple):
 
 
 def _require_divides(k: int, n: int) -> None:
-    if n < 1 or k < 1 or n % k != 0:
+    if n < 1 or k < 1:
+        raise ValueError(f"{'n' if n < 1 else 'k'} must be positive")
+    if n % k != 0:
         raise ValueError(f"k={k} must divide n={n}")
 
 

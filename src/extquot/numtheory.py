@@ -8,25 +8,35 @@ no floating point is used anywhere.
 
 from __future__ import annotations
 
+from itertools import chain, count
+
+_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
 
 def pillai(a: int) -> int:
     """Pillai's arithmetical function: sum of gcd(a, s) for s = 0, ..., a-1.
 
     The s = 0 term contributes gcd(a, 0) = a.  The function is multiplicative
     with pillai(p^e) = p^(e-1) ((e+1) p - e), which is how it is evaluated.
+    The power of 2 is read off ``a & -a``.  The odd part is trial-divided by
+    the odd primes below 100, then by every odd candidate from 101 on only
+    when it is at least 101^2: below that, what has no prime factor under
+    100 is 1 or a prime.
     """
     if a < 1:
         raise ValueError("pillai is defined for positive integers")
-    result = 1
-    p = 2
-    while p * p <= a:
+    e = (a & -a).bit_length() - 1
+    a >>= e
+    result = (e + 2) << e >> 1  # pillai(2^e) = 2^(e-1) (e + 2), and 1 when e = 0
+    for p in _ODD_PRIMES if a < 101 * 101 else chain(_ODD_PRIMES, count(101, 2)):
+        if p * p > a:
+            break
         if a % p == 0:
             e = 0
             while a % p == 0:
                 a //= p
                 e += 1
             result *= p ** (e - 1) * ((e + 1) * p - e)
-        p += 1 if p == 2 else 2
     if a > 1:  # a leftover prime p, with pillai(p) = 2p - 1
         result *= 2 * a - 1
     return result

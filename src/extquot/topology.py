@@ -5,6 +5,8 @@ the Betti vector for (n, k) is a binomial fold: degree j picks up
 C(b(mu) - 1, j) from each component of a partition with b distinct parts.
 The fold needs only how many partitions share each (gcd of parts,
 distinct-part count) class, which is counted without enumerating partitions.
+It takes one component count per gcd and sums the polynomials
+(1 + t)^(b - 1) by Horner's rule in 1 + t, with no binomial coefficient.
 
 K-theory ranks are the even/odd Betti sums (Chern character over C), and the
 Euler characteristic for k = 1 equals the divisor sum of n.
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complex_quotient import (
@@ -53,17 +54,22 @@ class KTheoryRanks(NamedTuple):
 
 
 def betti(n: int, k: int) -> BettiVector:
-    """The Betti vector: b_j = sum over mu of |components(mu)| * C(b(mu)-1, j)."""
+    """The Betti vector: b_j = sum over mu of |components(mu)| * C(b(mu)-1, j).
+
+    One component count per part gcd g, as the classes come sorted by g; the
+    components total_b of the partitions with b distinct parts then give
+    sum over b of total_b (1 + t)^(b-1), folded by Horner's rule in 1 + t."""
     _require_divides(k, n)
-    by_distinct: Counter[int] = Counter()
+    totals: dict[int, int] = {}
+    last_g = 0
     for (g, b), count in gcd_distinct_counts(n):
-        by_distinct[b] += count * component_count_from_gcd(g, n, k)
-    top = max(by_distinct)
-    ranks = tuple(
-        sum(total * math.comb(b - 1, j) for b, total in by_distinct.items())
-        for j in range(top)
-    )
-    return BettiVector(n=n, k=k, ranks=ranks)
+        if g != last_g:
+            last_g, components = g, component_count_from_gcd(g, n, k)
+        totals[b] = totals.get(b, 0) + count * components
+    ranks: list[int] = []
+    for b in range(max(totals), 0, -1):  # ranks * (1 + t) + total_b
+        ranks = [x + y for x, y in zip([*ranks, 0], [totals.get(b, 0), *ranks])]
+    return BettiVector(n=n, k=k, ranks=tuple(ranks))
 
 
 def ktheory_ranks(n: int, k: int) -> KTheoryRanks:

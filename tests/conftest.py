@@ -5,7 +5,8 @@ cofactor expansion instead of Bareiss elimination, a sieve instead of trial
 division, direct power-series multiplication instead of the convolution
 formula, the defining gcd sum instead of Pillai's multiplicative formula, a
 walk over every partition instead of the generating-function class counts, a
-fold over a full catalog instead of the class-count Betti fold, a
+fold over a full catalog instead of the class-count Betti fold, binomial
+coefficients instead of Horner's rule in 1 + t, a
 duality report that builds and compares both sides of every partition
 instead of sharing one comparison per invariant class, and CSV and markdown
 grids of a held catalog instead of rows streamed from per-class cells.
@@ -33,11 +34,12 @@ from extquot.complex_quotient import (
     CyclicSingularity,
     _require_divides,
     canonical_singularity,
+    component_count_from_gcd,
     partition_components,
     variety_normal_form,
 )
 from extquot.numtheory import divisors, totient
-from extquot.partitions import Partition, enumerate_partitions
+from extquot.partitions import Partition, enumerate_partitions, gcd_distinct_counts
 from extquot.topology import BettiVector, DualityReport, betti, grid_lines
 
 
@@ -344,6 +346,21 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
         counts_equal=counts_equal,
         torus_counts_equal=torus_counts_equal,
         singularity_differences=tuple(flagged),
+    )
+
+
+def betti_binomial_fold(n: int, k: int) -> tuple[int, ...]:
+    """The Betti ranks of (n, k) as a sum of binomial coefficients: degree j
+    gets total_b * C(b - 1, j) for each distinct-part count b, where total_b
+    takes one component count per (g, b) class of ``gcd_distinct_counts``.
+
+    Cross-check for the Horner fold of :func:`extquot.topology.betti`."""
+    by_distinct: Counter[int] = Counter()
+    for (g, b), count in gcd_distinct_counts(n):
+        by_distinct[b] += count * component_count_from_gcd(g, n, k)
+    return tuple(
+        sum(total * math.comb(b - 1, j) for b, total in by_distinct.items())
+        for j in range(max(by_distinct))
     )
 
 

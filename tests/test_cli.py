@@ -434,6 +434,48 @@ def test_verify_repeated_table_is_verified_once(runner):
     ]
 
 
+VERIFY_ALL_CELLS = [
+    ("betti_k1", 405), ("betti_k2", 300), ("ktheory", 380), ("sl6_catalogs", 484), ("sl16_examples", 99),
+    ("su6_orientability", 56), ("oracle_equivalence", 778), ("pillai_equivalence", 10_000), ("duality", 620),
+    ("euler_divisor_sum", 45), ("top_betti", 45),
+]
+
+
+def test_verify_all_counts_every_cell(runner):
+    """Every table and property suite, those that count their cells in bulk
+    among them, reports each cell it compares."""
+    result = runner.invoke(main, ["verify", "all", "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert [(r["table"], r["cells_checked"]) for r in payload["reports"]] == VERIFY_ALL_CELLS
+
+
+def test_verify_all_reports_one_wrong_pillai_value(runner, monkeypatch):
+    """A closed form wrong at one a is that one mismatch among the 10,000
+    cells, recorded as a cell-by-cell check would record it, and fails
+    verify all."""
+    right = reference.pillai
+
+    def wrong(a):
+        return right(a) + (a == 9973)  # pillai(9973) = 19945, as 9973 is prime
+
+    monkeypatch.setattr(reference, "pillai", wrong)
+    report = reference.property_pillai()
+    assert report.cells_checked == 10_000
+    assert report.mismatches == [reference.Mismatch("a=9973", "19946", "19945")]
+    by_cell = reference.DiffReport("pillai_equivalence")
+    for a in range(1, 10_001):
+        by_cell.check(f"a={a}", wrong(a), right(a))
+    assert report == by_cell
+    result = runner.invoke(main, ["verify", "all", "--format", "json"])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert [(r["table"], r["cells_checked"]) for r in payload["reports"]] == VERIFY_ALL_CELLS
+    assert [r["mismatches"] for r in payload["reports"] if r["mismatches"]] == [
+        [{"location": "a=9973", "expected": "19946", "actual": "19945"}],
+    ]
+
+
 def test_unknown_verify_suite_exits_2(runner):
     assert runner.invoke(main, ["verify", "everything"]).exit_code == 2
 

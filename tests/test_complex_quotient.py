@@ -22,6 +22,7 @@ from extquot.complex_quotient import (
 from conftest import catalog_json_dict, iter_gcd_distinct, variety_normal_form_oracle
 from extquot.numtheory import divisors
 from extquot.partitions import Partition, enumerate_partitions, invariants
+from extquot.topology import betti
 
 MU_2444 = Partition.from_parts([2, 2, 2, 2, 4, 4])
 MU_4444 = Partition.from_parts([4, 4, 4, 4])
@@ -129,6 +130,22 @@ def test_catalog_rows_counts_entries_without_enumeration():
     assert catalog_rows(100, 4) == 190_777_434
     with pytest.raises(ValueError):
         catalog_rows(6, 4)
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (0, 1, "n must be positive"),
+    (-3, 1, "n must be positive"),
+    (6, -2, "k must be positive"),
+    (6, 4, "k=4 must divide n=6"),
+])
+def test_bad_n_or_k_is_named_before_divisibility(n, k, message):
+    """A library caller hears what is wrong with n or k, in the words the
+    CLI uses: a sign first, a true non-divisor only after."""
+    inv = invariants(MU_2444)
+    for call in (lambda: catalog_rows(n, k), lambda: strata(inv, n, k), lambda: betti(n, k)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_decompose_complex_ordering():

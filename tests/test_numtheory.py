@@ -32,6 +32,22 @@ def test_pillai_closed_form_matches_gcd_sum():
         assert pillai(a) == pillai_gcd_sum(a), a
 
 
+def test_pillai_beyond_the_verified_range():
+    """verify checks a <= 10^4 only.  From 9,000 to 11,000 the odd part
+    crosses 97^2 and 101^2, where trial division goes past the odd primes
+    below 100; far values take many steps past them, or none."""
+    for a in range(9_000, 11_001):
+        assert pillai(a) == pillai_via_totient(a), a
+    for a in (2**40, 3**25, 9973**2, 101 * 103, 99991):
+        assert pillai(a) == pillai_via_totient(a), a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=10**7))
+def test_pillai_matches_divisor_sum(a):
+    assert pillai(a) == pillai_via_totient(a)
+
+
 def test_pillai_via_totient_values():
     assert pillai_via_totient(1) == 1
     assert pillai_via_totient(2) == 3

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (betti_from_catalog, components_profile, duality_report_oracle, enumerated_class_counts,
-                      fixture_text, grid_text, variety_normal_form_oracle)
+from conftest import (betti_binomial_fold, betti_from_catalog, components_profile, duality_report_oracle,
+                      enumerated_class_counts, fixture_text, grid_text, variety_normal_form_oracle)
 from extquot import topology
 from extquot.complex_quotient import (ComplexComponent, component_count_from_gcd, decompose,
                                      partition_components, strata, variety_normal_form)
@@ -50,6 +50,24 @@ def _betti_by_enumeration(n, k):
 def test_betti_matches_enumeration_fold(case):
     n, k = case
     assert betti(n, k).ranks == _betti_by_enumeration(n, k)
+
+
+def test_betti_horner_fold_matches_binomial_fold():
+    for n in range(1, 101):
+        for k in divisors(n):
+            assert betti(n, k).ranks == betti_binomial_fold(n, k), (n, k)
+
+
+def test_betti_takes_one_component_count_per_gcd(monkeypatch):
+    """The part gcds of the partitions of n are the divisors of n, and each
+    is counted once, however many distinct-part counts share it."""
+    gcds = []
+    monkeypatch.setattr(topology, "component_count_from_gcd",
+                        lambda g, n, k: gcds.append(g) or component_count_from_gcd(g, n, k))
+    for n, k in ((1, 1), (12, 4), (60, 6), (100, 1)):
+        gcds.clear()
+        betti(n, k)
+        assert gcds == divisors(n), (n, k)
 
 
 def test_betti_rejects_bad_k():
