@@ -4,8 +4,10 @@ catalog through :mod:`extquot.catalog`.
 Commands: decompose, betti, ktheory, euler, table, duality, verify,
 component.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 domain error, a full catalog of more than MAX_CATALOG_ROWS rows, a duality
-check that would walk more than MAX_CATALOG_ROWS partitions, or a reference
-fixture that is missing, empty or lacks a required column.  Every error is
+check that would walk more than MAX_CATALOG_ROWS partitions, a betti, ktheory,
+euler or table command whose Betti vectors would fill more than
+MAX_CATALOG_ROWS series cells, or a reference fixture that is missing, empty
+or lacks a required column.  Every error is
 one line on stderr that starts with ``Error: ``.  The parser is the standard
 library's argparse, built once at import, so no command loads a module from
 outside it.  Output is deterministic across runs and block-buffered while a
@@ -25,19 +27,24 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterator, NoReturn, Sequence, TextIO
 
 from . import __version__, catalog, reference, topology
 from .catalog import FORMS, component_text
 from .complex_quotient import _require_divides, catalog_rows, partition_components
-from .partitions import Partition, partition_count
+from .numtheory import divisors
+from .partitions import Partition, partition_count, series_cells
 from .topology import betti, duality_reports, euler_characteristic, grid_lines, ktheory_ranks
 
 # A full catalog is streamed, so this bounds the size of its output: about
 # 470 bytes per JSON row, so 470 MB of stdout at the limit.  It also bounds
 # the partitions of n a duality check walks, although its reports hold only
-# one comparison per class and the flagged partitions.  Larger ones are
-# refused; single-partition lookups are not limited.
+# one comparison per class and the flagged partitions, and the series cells
+# the Betti vectors of betti, ktheory, euler and table fill (series_cells):
+# betti --n up to 10,471, table betti --max-n up to 379 and table ktheory
+# --max-n up to 187.  Larger ones are refused; single-partition lookups are
+# not limited.
 MAX_CATALOG_ROWS = 1_000_000
 # Up to this n a refusal states the exact count, which takes milliseconds at
 # n = 1,000.  Above it nothing is counted: P is non-decreasing, so every larger
@@ -135,6 +142,10 @@ _SUMMARIES = {
 def _summary(values: Callable[[int, int], dict], n: int, k: int, fmt: str) -> int:
     """Print the named ``values(n, k)`` in one line."""
     _check_arguments(n, k)
+    cells = series_cells(n)
+    if cells > MAX_CATALOG_ROWS:
+        raise UsageError(f"the Betti vector of n={n} fills {cells:,} series cells, more than "
+                         f"the {MAX_CATALOG_ROWS:,} a command may fill")
     named = values(n, k)
     text = (json.dumps({"n": n, "k": k, **named}) if fmt == "json" else
             " ".join(" ".join(map(str, v)) if isinstance(v, list) else str(v) for v in named.values()))
@@ -146,6 +157,13 @@ def _summary(values: Callable[[int, int], dict], n: int, k: int, fmt: str) -> in
 def _table(kind: str, max_n: int, k: int, even_only: bool, fmt: str) -> int:
     if max_n < 0 or k < 1:
         raise UsageError("max-n must be nonnegative and k positive")
+    if kind == "betti":  # the rows of betti_table and ktheory_table
+        cells = (series_cells(n) for n in range(k, max_n + 1, k) if not even_only or n % 2 == 0)
+    else:
+        cells = (len(divisors(n)) * series_cells(n) for n in range(2, max_n + 1))
+    if any(total > MAX_CATALOG_ROWS for total in accumulate(cells)):  # summed up to the first row past it
+        raise UsageError(f"the {kind} table to n={max_n} fills more series cells than "
+                         f"the {MAX_CATALOG_ROWS:,} a command may fill")
     if kind == "betti":
         grid = topology.betti_grid(topology.betti_table(max_n, k, even_only=even_only))
     else:

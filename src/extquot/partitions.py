@@ -11,8 +11,9 @@ parts.  The invariants of interest are
     p  the vector whose i-th entry counts distinct parts of multiplicity > i.
 
 Every downstream formula depends on the partition only through these numbers,
-so representative permutations are never materialized, and sums that need
-only (g, b) count the partitions per class without walking them.
+so representative permutations are never materialized, and the sums over
+the partitions of n/d of (1 + t)^b, which the Betti vectors need, come from
+the partition numbers P(0..n) without walking any partition.
 
 The enumerator steps on runs and yields bare runs, keyed by the gcd of the
 parts and the sorted multiplicities, a key in bijection with (g, m, b, c, p):
@@ -23,8 +24,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
-from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .numtheory import divisors
@@ -209,57 +208,40 @@ def partitions_pairs(r: int) -> int:
     return sum(partition_count(s) * partition_count(r - s) for s in range(r + 1))
 
 
-def distinct_part_counts(n: int) -> list[list[int]]:
-    """Rows ``c[s][b]``, s = 0..n: the number of partitions of s with exactly
-    b distinct parts, for b up to the most distinct parts a partition of n has.
+def distinct_part_sums(n: int) -> dict[int, list[int]]:
+    """For each divisor d of n >= 1, ascending, the coefficients in t of
+    S_(n/d)(t) = sum over the partitions mu of n/d of (1 + t)^b(mu), where
+    b(mu) counts the distinct parts.
 
-    Dynamic programming over the generating function
-    prod over j of (1 + y x^j / (1 - x^j)): part size j either does not occur,
-    or occurs with some multiplicity m >= 1 and adds one distinct part.
-    """
-    width = (math.isqrt(8 * n + 1) - 1) // 2 + 1  # 1 + 2 + ... + b <= n
-    rows = [[1] + [0] * (width - 1)] + [[0] * width for _ in range(n)]
-    for j in range(1, n + 1):
-        # used[s]: partitions of s with largest part j, from the rows over
-        # parts < j; used[s] = rows[s - j] shifted one part up + used[s - j].
-        used = [[0] * width] * j
-        for s in range(j, n + 1):
-            used.append([0, *map(add, rows[s - j], used[s - j][1:])])
-        for s in range(j, n + 1):
-            rows[s] = list(map(add, rows[s], used[s]))
-    return rows
-
-
-_DISTINCT = [[1]]  # distinct_part_counts(N) for the last N built, here N = 0
-
-
-@lru_cache(maxsize=128)
-def gcd_distinct_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
-    """How many partitions of n fall in each (gcd of parts, distinct parts)
-    class, as sorted ((g, b), count) pairs with count > 0.
-
-    The partitions of n with every part divisible by d are d times those of
-    n/d, so they number c(n/d, b).  Those with part-gcd exactly g are left
-    after subtracting the exact counts of every divisor d > g of n with g | d.
-
-    The rows c(s, .) come from one module table, the rows of
-    distinct_part_counts(N): for s <= N they do not depend on N but for
-    trailing zero columns.  When n > N it is rebuilt at max(n, 2N), so a run
-    of ascending n rebuilds it O(log n) times and it never holds more than
-    twice the largest n asked for.
+    A part size j either does not occur or adds one distinct part, so
+    sum over s of S_s(t) x^s = prod over j of (1 + t x^j) / (1 - x^j),
+    which is P(x) times the sum over q of t^q x^(q(q+1)/2) / ((1 - x)...(1 - x^q)):
+    the t^q coefficient of S_s is the x^(s - q(q+1)/2) coefficient of
+    P(x) / ((1 - x)...(1 - x^q)).  One copy of P(0..n), divided in place by
+    1 - x^q for q = 1, 2, ..., serves every divisor; step q fills only the
+    n + 1 - q(q+1)/2 terms it can still be read at.
     """
     if n < 1:
-        raise ValueError("gcd_distinct_counts needs a positive integer")
-    rows = _DISTINCT
-    if len(rows) <= n:
-        rows[:] = distinct_part_counts(max(n, 2 * (len(rows) - 1)))
-    exact: dict[int, list[int]] = {}
-    for g in reversed(divisors(n)):
-        row = rows[n // g]
-        for d, finer in exact.items():
-            if d % g == 0:
-                row = list(map(int.__sub__, row, finer))
-        exact[g] = row
-    return tuple(sorted(
-        ((g, b), count) for g, row in exact.items() for b, count in enumerate(row) if count
-    ))
+        raise ValueError("distinct_part_sums needs a positive integer")
+    partition_count(n)
+    series = _PCOUNT[:n + 1]
+    sums = {d: [series[n // d]] for d in divisors(n)}
+    q, top = 1, n - 1
+    while top >= 0:
+        for i in range(q, top + 1):  # divide by 1 - x^q
+            series[i] += series[i - q]
+        for d, coefficients in sums.items():  # n // d descends
+            if n // d < n - top:
+                break
+            coefficients.append(series[n // d - n + top])
+        q += 1
+        top -= q
+    return sums
+
+
+def series_cells(n: int) -> int:
+    """The terms distinct_part_sums(n) fills, n + 1 - q(q + 1)/2 for each q up
+    to Q, the most distinct parts a partition of n has, in closed form:
+    Q(n + 1) - Q(Q + 1)(Q + 2)/6, so counting them costs nothing for any n."""
+    q = (math.isqrt(8 * n + 1) - 1) // 2
+    return q * (n + 1) - q * (q + 1) * (q + 2) // 6

@@ -2,11 +2,10 @@
 
 Every component of the quotient deformation-retracts onto its base torus, so
 the Betti vector for (n, k) is a binomial fold: degree j picks up
-C(b(mu) - 1, j) from each component of a partition with b distinct parts.
-The fold needs only how many partitions share each (gcd of parts,
-distinct-part count) class, which is counted without enumerating partitions.
-It takes one component count per gcd and sums the polynomials
-(1 + t)^(b - 1) by Horner's rule in 1 + t, with no binomial coefficient.
+C(b(mu) - 1, j) from each component of a partition with b distinct parts,
+the coefficients of (1 + t)^(b - 1).  It is read from the sums over the
+partitions of n/d of (1 + t)^b, one per divisor d of n and each weighted by
+component counts, with no partition enumerated and no binomial coefficient.
 
 K-theory ranks are the even/odd Betti sums (Chern character over C), and the
 Euler characteristic for k = 1 equals the divisor sum of n.
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .complex_quotient import (
@@ -33,7 +33,7 @@ from .complex_quotient import (
     _require_divides,
 )
 from .numtheory import divisors
-from .partitions import Partition, by_class, gcd_distinct_counts, invariants, partitions_pairs
+from .partitions import Partition, by_class, distinct_part_sums, invariants, partitions_pairs
 
 
 class BettiVector(NamedTuple):
@@ -56,19 +56,22 @@ class KTheoryRanks(NamedTuple):
 def betti(n: int, k: int) -> BettiVector:
     """The Betti vector: b_j = sum over mu of |components(mu)| * C(b(mu)-1, j).
 
-    One component count per part gcd g, as the classes come sorted by g; the
-    components total_b of the partitions with b distinct parts then give
-    sum over b of total_b (1 + t)^(b-1), folded by Horner's rule in 1 + t."""
+    The partitions of n whose parts d divides are d times those of n/d, so
+    the sum over them of (1 + t)^b is S_(n/d)(t) of :func:`distinct_part_sums`.
+    A partition of part gcd g lies in S_(n/d) for every d | g, so weights
+    w(d) whose sum over d | g is the component count of g, taken for d
+    ascending, give sum over mu of |components(mu)| (1 + t)^b(mu) as the sum
+    of w(d) S_(n/d); dividing it by 1 + t leaves the Betti polynomial."""
     _require_divides(k, n)
-    totals: dict[int, int] = {}
-    last_g = 0
-    for (g, b), count in gcd_distinct_counts(n):
-        if g != last_g:
-            last_g, components = g, component_count_from_gcd(g, n, k)
-        totals[b] = totals.get(b, 0) + count * components
-    ranks: list[int] = []
-    for b in range(max(totals), 0, -1):  # ranks * (1 + t) + total_b
-        ranks = [x + y for x, y in zip([*ranks, 0], [totals.get(b, 0), *ranks])]
+    sums = distinct_part_sums(n)
+    weights: dict[int, int] = {}
+    total = [0] * len(sums[1])
+    for d, coefficients in sums.items():
+        weights[d] = weight = component_count_from_gcd(d, n, k) - sum(
+            w for e, w in weights.items() if d % e == 0)
+        for q, c in enumerate(coefficients):
+            total[q] += weight * c
+    ranks = accumulate(total[:-1], lambda r, s: s - r)  # r_0 = s_0, r_j = s_j - r_(j-1)
     return BettiVector(n=n, k=k, ranks=tuple(ranks))
 
 

@@ -4,9 +4,10 @@ These are deliberately written independently of the library code they check:
 cofactor expansion instead of Bareiss elimination, a sieve instead of trial
 division, direct power-series multiplication instead of the convolution
 formula, the defining gcd sum instead of Pillai's multiplicative formula, a
-walk over every partition instead of the generating-function class counts, a
-fold over a full catalog instead of the class-count Betti fold, binomial
-coefficients instead of Horner's rule in 1 + t, a
+walk over every partition instead of the product series of distinct-part
+sums, a fold over a full catalog instead of the weighted product-series
+Betti fold, binomial coefficients over (gcd, distinct parts) class counts
+from a distinct-part table instead of dividing by 1 + t, a
 duality report that builds and compares both sides of every partition
 instead of sharing one comparison per invariant class, and CSV and markdown
 grids of a held catalog instead of rows streamed from per-class cells.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from operator import add
 from typing import Iterator, Sequence
 
 from extquot import reference
@@ -39,7 +41,7 @@ from extquot.complex_quotient import (
     variety_normal_form,
 )
 from extquot.numtheory import divisors, totient
-from extquot.partitions import Partition, enumerate_partitions, gcd_distinct_counts
+from extquot.partitions import Partition, enumerate_partitions
 from extquot.topology import BettiVector, DualityReport, betti, grid_lines
 
 
@@ -349,14 +351,58 @@ def duality_report_oracle(n: int, k: int) -> DualityReport:
     )
 
 
-def betti_binomial_fold(n: int, k: int) -> tuple[int, ...]:
+def distinct_part_counts(n: int) -> list[list[int]]:
+    """Rows ``c[s][b]``, s = 0..n: the number of partitions of s with exactly
+    b distinct parts, for b up to the most distinct parts a partition of n has.
+
+    Dynamic programming over the generating function
+    prod over j of (1 + y x^j / (1 - x^j)): part size j either does not occur,
+    or occurs with some multiplicity m >= 1 and adds one distinct part.
+    """
+    width = (math.isqrt(8 * n + 1) - 1) // 2 + 1  # 1 + 2 + ... + b <= n
+    rows = [[1] + [0] * (width - 1)] + [[0] * width for _ in range(n)]
+    for j in range(1, n + 1):
+        # used[s]: partitions of s with largest part j, from the rows over
+        # parts < j; used[s] = rows[s - j] shifted one part up + used[s - j].
+        used = [[0] * width] * j
+        for s in range(j, n + 1):
+            used.append([0, *map(add, rows[s - j], used[s - j][1:])])
+        for s in range(j, n + 1):
+            rows[s] = list(map(add, rows[s], used[s]))
+    return rows
+
+
+def gcd_distinct_counts(n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """How many partitions of n >= 1 fall in each (gcd of parts, distinct
+    parts) class, as sorted ((g, b), count) pairs with count > 0.
+
+    The partitions of n with every part divisible by d are d times those of
+    n/d, so they number c(n/d, b) of :func:`distinct_part_counts`.  Those
+    with part gcd exactly g are left after subtracting the exact counts of
+    every divisor d > g of n with g | d.
+    """
+    rows = distinct_part_counts(n)
+    exact: dict[int, list[int]] = {}
+    for g in reversed(divisors(n)):
+        row = rows[n // g]
+        for d, finer in exact.items():
+            if d % g == 0:
+                row = list(map(int.__sub__, row, finer))
+        exact[g] = row
+    return tuple(sorted(
+        ((g, b), count) for g, row in exact.items() for b, count in enumerate(row) if count
+    ))
+
+
+def betti_binomial_fold(n: int, k: int, class_counts=gcd_distinct_counts) -> tuple[int, ...]:
     """The Betti ranks of (n, k) as a sum of binomial coefficients: degree j
     gets total_b * C(b - 1, j) for each distinct-part count b, where total_b
-    takes one component count per (g, b) class of ``gcd_distinct_counts``.
+    takes one component count per (g, b) class of ``class_counts(n)``, by
+    default :func:`gcd_distinct_counts`.
 
-    Cross-check for the Horner fold of :func:`extquot.topology.betti`."""
+    Cross-check for the product-series fold of :func:`extquot.topology.betti`."""
     by_distinct: Counter[int] = Counter()
-    for (g, b), count in gcd_distinct_counts(n):
+    for (g, b), count in class_counts(n):
         by_distinct[b] += count * component_count_from_gcd(g, n, k)
     return tuple(
         sum(total * math.comb(b - 1, j) for b, total in by_distinct.items())

@@ -5,7 +5,8 @@ catalog was streamed row by row, except the complex (40, 4) CSV and (40, 2)
 markdown ones, taken before rows were filled in from per-class templates;
 they are too large for ``tests/golden/``.
 The duality reports of 40 are pinned beside them, taken while every report
-still labelled all partitions of 40, and two Betti and K-theory tables.
+still labelled all partitions of 40, two Betti and K-theory tables, and
+the betti, ktheory and euler lines for every n <= 200.
 Small catalogs are compared byte for byte with the held-catalog rendering
 that ``decompose`` used to print.
 """
@@ -69,6 +70,26 @@ TABLE_PINNED = {
     ("betti", "--k", "1", "--max-n", "120"): "e656a99ee4fa97cc24de43993c869e01559f34428185077f42251f6a9bd0adfa",
     ("ktheory", "--max-n", "40"): "249b328799588385eca352811144b520f6087edb67f8e73e004e57736c6a0414",
 }
+
+
+# The --format json lines of each one-line command for every n <= 200 and
+# k | n, ascending in n then k, taken while the Betti fold still read its
+# counts from the distinct-part table.
+SUMMARY_PINNED = {
+    "betti": "03a2633abacb2d87024eeb313571b7dc57b224307aa2f1fb01e180da21ef1a5b",
+    "ktheory": "ec95d40d851edb0ca8966980452bb4c183c6a8ee41de6c4b318dc6f7534644f1",
+    "euler": "c519979e34193301dfd8a20bb109c1f775e8bbfbf0bc080564b9ab3ee80174e7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUMMARY_PINNED))
+def test_summary_lines_up_to_200_are_pinned(capsys, command):
+    digest = hashlib.sha256()
+    for n in range(1, 201):
+        for k in divisors(n):
+            assert cli.run([command, "--n", str(n), "--k", str(k), "--format", "json"]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SUMMARY_PINNED[command]
 
 
 @pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
@@ -415,13 +436,27 @@ def test_write_through_stdout_gets_one_write_per_short_command(monkeypatch, args
     assert stdout.write_through
 
 
-def _traced(run):
-    """The result of ``run()`` and the peak of the memory traced while it ran."""
+def _traced(monkeypatch, args, sink):
+    """The exit status of ``cli.run(args)``, printing to the binary ``sink``,
+    and the peak of the memory traced while it ran.
+
+    The peak is measured from one named state, whatever ran before in the
+    process: the same command has just run once untraced, printing to a
+    throwaway sink.  What a first run builds and keeps (the partition
+    numbers, interned text) then exists, and CPython's free lists hold what
+    such a run frees, so only what the traced run itself holds counts."""
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(_ByteCounter()), encoding="utf-8"))
+    cli.run(args)
+    stdout = io.TextIOWrapper(io.BufferedWriter(sink), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
     tracemalloc.start()
     try:
-        return run(), tracemalloc.get_traced_memory()[1]
+        code = cli.run(args)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    stdout.flush()
+    return code, peak
 
 
 STREAMED_PEAK_BOUND = 1_200_000  # bytes
@@ -429,30 +464,26 @@ STREAMED_PEAK_BOUND = 1_200_000  # bytes
 
 def test_full_catalog_streams_in_flat_memory(monkeypatch):
     """The (40, 4) complex JSON catalog, 18 MB of stdout, is written with a
-    traced peak under 1.2 MB, and its bytes hash to the pinned digest: the
-    writer keeps a template per row shape (565), not per row (38,049) or
-    per class's row (2,180), and keeps no stratum, omega or singularity."""
+    traced peak under 1.2 MB, measured on a repeat run (:func:`_traced`),
+    and its bytes hash to the pinned digest: the writer keeps a template per
+    row shape (565), not per row (38,049) or per class's row (2,180), and
+    keeps no stratum, omega or singularity."""
     hasher = _ByteHasher()
-    stdout = io.TextIOWrapper(io.BufferedWriter(hasher), encoding="utf-8")
-    monkeypatch.setattr(sys, "stdout", stdout)
     args = ["decompose", "--n", "40", "--k", "4", "--format", "json"]
-    code, peak = _traced(lambda: cli.run(args))
-    stdout.flush()
+    code, peak = _traced(monkeypatch, args, hasher)
     assert code == 0
-    assert hasher.sha256.hexdigest() == PINNED[("--n", "40", "--k", "4", "--format", "json")]
+    assert hasher.sha256.hexdigest() == PINNED[tuple(args[1:])]
     assert peak < STREAMED_PEAK_BOUND, peak
 
 
 def test_real_k1_catalog_streams_in_flat_memory(monkeypatch):
     """The real (40, 1) CSV catalog, one row per partition of 40, is written
-    with a traced peak under 0.65 MB, and its bytes hash to the pinned
-    digest: 254 row shapes are kept as text and integers."""
+    with a traced peak under 0.65 MB, measured on a repeat run
+    (:func:`_traced`), and its bytes hash to the pinned digest: 254 row
+    shapes are kept as text and integers."""
     hasher = _ByteHasher()
-    stdout = io.TextIOWrapper(io.BufferedWriter(hasher), encoding="utf-8")
-    monkeypatch.setattr(sys, "stdout", stdout)
     args = ["decompose", "--n", "40", "--k", "1", "--form", "real", "--format", "csv"]
-    code, peak = _traced(lambda: cli.run(args))
-    stdout.flush()
+    code, peak = _traced(monkeypatch, args, hasher)
     assert code == 0
     assert hasher.sha256.hexdigest() == PINNED[tuple(args[1:])]
     assert peak < 650_000, peak
@@ -476,15 +507,13 @@ def test_catalog_builds_one_singularity_per_row_shape(monkeypatch):
 def test_duality_json_is_written_report_by_report(monkeypatch):
     """``duality --n 40 --format json`` writes one report at a time: with the
     reports computed beforehand, printing them has a traced peak under
-    400 kB, where building the list of every report and one string of the
-    whole output peaked at about 675 kB."""
+    400 kB, measured on a repeat run (:func:`_traced`), where building the
+    list of every report and one string of the whole output peaked at about
+    675 kB."""
     reports = cli.duality_reports(40)
     monkeypatch.setattr(cli, "duality_reports", lambda n: reports)
     counter = _ByteCounter()
-    stdout = io.TextIOWrapper(io.BufferedWriter(counter), encoding="utf-8")
-    monkeypatch.setattr(sys, "stdout", stdout)
-    code, peak = _traced(lambda: cli.run(["duality", "--n", "40", "--format", "json"]))
-    stdout.flush()
+    code, peak = _traced(monkeypatch, ["duality", "--n", "40", "--format", "json"], counter)
     assert code == 0
     assert counter.count == 116_773
     assert peak < 400_000, peak

@@ -12,9 +12,10 @@ from click.testing import CliRunner
 
 import extquot
 from conftest import fixture_text
-from extquot import cli, reference, topology
+from extquot import cli, partitions, reference, topology
 from extquot.cli import main, parse_partition
 from extquot.complex_quotient import ComplexComponent, decompose
+from extquot.numtheory import divisors
 from extquot.partitions import Partition, partition_count
 
 
@@ -311,6 +312,10 @@ REFUSED = [
     (["duality", "--n", "1000000"],
      "duality for n=1000000 compares all partitions of 1000000, more than the 1,000,000 a check may walk"),
     (["duality", "--n", "0"], "n must be positive"),
+    (["betti", "--n", "10472"],
+     "the Betti vector of n=10472 fills 1,000,032 series cells, more than the 1,000,000 a command may fill"),
+    (["table", "ktheory", "--max-n", "188"],
+     "the ktheory table to n=188 fills more series cells than the 1,000,000 a command may fill"),
     (["table", "betti", "--max-n", "-1"], "max-n must be nonnegative and k positive"),
     (["component", "--n", "6", "--partition", "1+1+2+2", "--omega-exponent", "5"],
      "omega exponent must lie in 0..0 for this partition"),
@@ -733,3 +738,73 @@ def test_each_duality_run_does_its_own_work_once(runner, monkeypatch):
         assert runner.invoke(main, ["duality", "--n", "24"]).exit_code == 0
         # 335 invariant classes among the 1,575 partitions of 24, for each of its 8 divisors
         assert calls == {"invariants": 335, "strata": 335 * 8}
+
+
+def _cells(n):
+    """The terms distinct_part_sums(n) fills, n + 1 - q(q + 1)/2 for each q
+    with q(q + 1)/2 <= n, summed one by one."""
+    return sum(n + 1 - q * (q + 1) // 2 for q in range(1, n + 1) if q * (q + 1) // 2 <= n)
+
+
+def test_series_cells_closed_form():
+    """The closed form of partitions.series_cells against the terms summed one by one."""
+    assert [cli.series_cells(n) for n in range(1, 2001)] == [_cells(n) for n in range(1, 2001)]
+
+
+@pytest.mark.parametrize("args", [
+    ["betti", "--n", "10472"],
+    ["ktheory", "--n", "10472"],
+    ["euler", "--n", str(10**18), "--k", str(10**18)],
+    ["table", "betti", "--max-n", "380"],
+    ["table", "betti", "--max-n", str(10**18), "--k", str(10**17)],
+    ["table", "ktheory", "--max-n", "188"],
+], ids=" ".join)
+def test_oversized_betti_series_is_refused_before_any_series(capsys, monkeypatch, args):
+    """A summary or table whose Betti vectors would fill more series cells
+    than the limit is refused from the closed form: no partition number and
+    no distinct-part sum is computed, even for n = 10**18."""
+    called = []
+    for name in ("distinct_part_sums", "partition_count"):
+        for module in (partitions, topology, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda n, name=name: called.append(name))
+    assert cli.run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Error: ") and captured.err.count("\n") == 1
+    assert "than the 1,000,000 a command may fill" in captured.err
+    assert called == []
+
+
+def test_largest_admitted_series_sizes():
+    """betti --n up to 10,471, table betti up to 379 and table ktheory up to
+    187 fit the limit, and one step more does not."""
+    assert cli.series_cells(10_471) <= cli.MAX_CATALOG_ROWS < cli.series_cells(10_472)
+    betti_rows = [_cells(n) for n in range(1, 381)]
+    assert sum(betti_rows[:-1]) <= cli.MAX_CATALOG_ROWS < sum(betti_rows)
+    ktheory_rows = [len(divisors(n)) * _cells(n) for n in range(2, 189)]
+    assert sum(ktheory_rows[:-1]) <= cli.MAX_CATALOG_ROWS < sum(ktheory_rows)
+
+
+# Commands at their series-cell count, each with that count.
+SERIES_LIMITS = [
+    (["betti", "--n", "12"], _cells(12)),
+    (["euler", "--n", "12", "--k", "4"], _cells(12)),
+    (["table", "betti", "--k", "2", "--max-n", "12", "--even-only"], sum(_cells(n) for n in range(2, 13, 2))),
+    (["table", "betti", "--k", "3", "--max-n", "12", "--even-only"], _cells(6) + _cells(12)),
+    (["table", "ktheory", "--max-n", "12"], sum(len(divisors(n)) * _cells(n) for n in range(2, 13))),
+]
+
+
+@pytest.mark.parametrize("args, cells", SERIES_LIMITS, ids=_ids(SERIES_LIMITS))
+def test_series_cell_limit_is_inclusive(capsys, monkeypatch, args, cells):
+    monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", cells)
+    assert cli.run(args) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "MAX_CATALOG_ROWS", cells - 1)
+    assert cli.run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Error: ") and captured.err.count("\n") == 1
+    if args[0] != "table":
+        assert f"{cells} series cells" in captured.err

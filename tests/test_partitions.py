@@ -1,19 +1,19 @@
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (descending_partitions, enumerated_class_counts, iter_gcd_distinct,
-                      two_kind_series_coefficients)
-from extquot import partitions
+from conftest import (descending_partitions, distinct_part_counts, enumerated_class_counts, gcd_distinct_counts,
+                      iter_gcd_distinct, two_kind_series_coefficients)
+from extquot.numtheory import divisors
 from extquot.partitions import (
     Partition,
     by_class,
     classified_partitions,
-    distinct_part_counts,
+    distinct_part_sums,
     enumerate_partitions,
-    gcd_distinct_counts,
     invariants,
     partition_count,
     partitions_pairs,
@@ -194,34 +194,28 @@ def test_distinct_part_counts_match_enumeration():
         assert sum(rows[s]) == partition_count(s)
 
 
-def test_gcd_distinct_counts_match_enumeration(monkeypatch):
-    """Counts read from the one distinct-part table, whether it was grown in
-    descending or ascending order of n or already holds n = 60, against a
-    walk over every partition.  The table never holds more than twice the
-    largest n asked for, and each of its rows is the last row of a fresh
-    distinct_part_counts(s) but for trailing zeros."""
-    expected = {n: enumerated_class_counts(n) for n in range(1, 41)}
-    for order in (range(40, 0, -1), range(1, 41)):
-        gcd_distinct_counts.cache_clear()
-        monkeypatch.setattr(partitions, "_DISTINCT", [[1]])
-        largest = 0
-        for n in order:
-            assert gcd_distinct_counts(n) == expected[n], n
-            largest = max(largest, n)
-            assert n < len(partitions._DISTINCT) <= 2 * largest + 1, n
-    gcd_distinct_counts(60)
-    gcd_distinct_counts.cache_clear()
+def test_gcd_distinct_counts_match_enumeration():
+    """The oracle's (gcd, distinct parts) class counts, read from its
+    distinct-part table, against a walk over every partition."""
     for n in range(1, 41):
-        assert gcd_distinct_counts(n) == expected[n], n
-    rows = partitions._DISTINCT
-    assert 61 <= len(rows) <= 121
-    for s in range(61):
-        row = rows[s]
-        while row and not row[-1]:
-            row = row[:-1]
-        assert row == distinct_part_counts(s)[s], s
+        assert gcd_distinct_counts(n) == enumerated_class_counts(n), n
+
+
+def test_distinct_part_sums_match_enumeration():
+    """S_(n/d)(t) = sum over mu of n/d of (1 + t)^b(mu), for every divisor d
+    of n <= 40, against binomial coefficients summed over a walk over every
+    partition of n/d."""
+    for n in range(1, 41):
+        sums = distinct_part_sums(n)
+        assert list(sums) == divisors(n), n
+        for d, coefficients in sums.items():
+            expected = Counter()
+            for mu in enumerate_partitions(n // d):
+                b = invariants(mu).b
+                expected.update({q: math.comb(b, q) for q in range(b + 1)})
+            assert coefficients == [expected[q] for q in range(len(expected))], (n, d)
     with pytest.raises(ValueError):
-        gcd_distinct_counts(0)
+        distinct_part_sums(0)
 
 
 def test_partition_count_values():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from extquot import catalog, complex_quotient, numtheory, partitions, real_quotient, reference
+from extquot import catalog, complex_quotient, numtheory, real_quotient, reference
 
 FAST_TABLES = ("betti_k1", "ktheory", "sl6_catalogs", "sl16_examples", "su6_orientability")
 
@@ -110,20 +110,6 @@ def test_property_pillai_runs_no_per_a_totient(monkeypatch):
     report = reference.property_pillai(10_000)
     assert report.ok and report.cells_checked == 10_000
     assert calls == []
-
-
-def test_betti_and_ktheory_tables_build_few_distinct_part_tables(monkeypatch):
-    """Verifying the Betti and K-theory tables from an empty distinct-part
-    table builds it at most 7 times, never past twice their largest n."""
-    built = []
-    fresh = partitions.distinct_part_counts
-    monkeypatch.setattr(partitions, "distinct_part_counts", lambda n: built.append(n) or fresh(n))
-    monkeypatch.setattr(partitions, "_DISTINCT", [[1]], raising=False)
-    partitions.gcd_distinct_counts.cache_clear()
-    for table_id in ("betti_k1", "betti_k2", "ktheory"):
-        assert reference.verify(table_id).ok, table_id
-    assert 1 <= len(built) <= 7, built
-    assert max(built) <= 120
 
 
 def test_diff_report_summary_text():
