@@ -240,8 +240,9 @@ def distinct_part_sums(n: int) -> dict[int, list[int]]:
 
 
 def series_cells(n: int) -> int:
-    """The terms distinct_part_sums(n) fills, n + 1 - q(q + 1)/2 for each q up
-    to Q, the most distinct parts a partition of n has, in closed form:
-    Q(n + 1) - Q(Q + 1)(Q + 2)/6, so counting them costs nothing for any n."""
+    """The series cells of distinct_part_sums(n): the n + 1 - q(q + 1)/2 terms
+    its step q divides by 1 - x^q, summed over q up to Q, the most distinct
+    parts a partition of n has, in closed form Q(n + 1) - Q(Q + 1)(Q + 2)/6,
+    so counting them costs nothing for any n."""
     q = (math.isqrt(8 * n + 1) - 1) // 2
     return q * (n + 1) - q * (q + 1) * (q + 2) // 6

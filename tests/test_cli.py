@@ -748,7 +748,7 @@ def _cells(n):
 
 def test_series_cells_closed_form():
     """The closed form of partitions.series_cells against the terms summed one by one."""
-    assert [cli.series_cells(n) for n in range(1, 2001)] == [_cells(n) for n in range(1, 2001)]
+    assert [partitions.series_cells(n) for n in range(1, 2001)] == [_cells(n) for n in range(1, 2001)]
 
 
 @pytest.mark.parametrize("args", [
@@ -779,7 +779,7 @@ def test_oversized_betti_series_is_refused_before_any_series(capsys, monkeypatch
 def test_largest_admitted_series_sizes():
     """betti --n up to 10,471, table betti up to 379 and table ktheory up to
     187 fit the limit, and one step more does not."""
-    assert cli.series_cells(10_471) <= cli.MAX_CATALOG_ROWS < cli.series_cells(10_472)
+    assert _cells(10_471) <= cli.MAX_CATALOG_ROWS < _cells(10_472)
     betti_rows = [_cells(n) for n in range(1, 381)]
     assert sum(betti_rows[:-1]) <= cli.MAX_CATALOG_ROWS < sum(betti_rows)
     ktheory_rows = [len(divisors(n)) * _cells(n) for n in range(2, 189)]

@@ -205,15 +205,18 @@ def test_distinct_part_sums_match_enumeration():
     """S_(n/d)(t) = sum over mu of n/d of (1 + t)^b(mu), for every divisor d
     of n <= 40, against binomial coefficients summed over a walk over every
     partition of n/d."""
+    expected = {}
+    for s in range(1, 41):
+        coefficients = Counter()
+        for mu in enumerate_partitions(s):
+            b = invariants(mu).b
+            coefficients.update({q: math.comb(b, q) for q in range(b + 1)})
+        expected[s] = [coefficients[q] for q in range(len(coefficients))]
     for n in range(1, 41):
         sums = distinct_part_sums(n)
         assert list(sums) == divisors(n), n
         for d, coefficients in sums.items():
-            expected = Counter()
-            for mu in enumerate_partitions(n // d):
-                b = invariants(mu).b
-                expected.update({q: math.comb(b, q) for q in range(b + 1)})
-            assert coefficients == [expected[q] for q in range(len(expected))], (n, d)
+            assert coefficients == expected[n // d], (n, d)
     with pytest.raises(ValueError):
         distinct_part_sums(0)
 
